@@ -156,7 +156,7 @@ class DistributedVector {
 /// alignment property that makes element-wise ops communication-free).
 template <class T>
 bool is_aligned(const DistributedVector<T>& a, const DistributedVector<T>& b) {
-  return a.dist_ptr() == b.dist_ptr() || a.dist() == b.dist();
+  return a.dist() == b.dist();
 }
 
 }  // namespace hpfcg::hpf

@@ -94,7 +94,10 @@ class Distribution {
   /// Human-readable name ("BLOCK", "CYCLIC(4)", ...) for tables.
   [[nodiscard]] std::string name() const;
 
-  /// Two distributions are equal iff they map every index identically.
+  /// Two distributions are equal iff they map every index identically
+  /// (same owner and local index).  O(NP) unless an INDIRECT map that is
+  /// not rank-ordered meets a cyclic or another INDIRECT one, which walks
+  /// the owners — see the rules in distribution.cpp.
   bool operator==(const Distribution& o) const;
 
  private:
@@ -105,7 +108,10 @@ class Distribution {
   Kind kind_;
   std::size_t n_;
   int np_;
-  std::size_t k_ = 0;  ///< block size for kBlock/kBlockK/kCyclicK
+  std::size_t k_ = 0;  ///< block size for kBlock/kBlockK/kCyclic(K)
+  /// Rank r owns the r-th run of counts_ in global order, so counts_ alone
+  /// fixes every (owner, local index).  Set by build_counts().
+  bool rank_ordered_ = false;
   std::vector<std::size_t> counts_;
   std::vector<std::size_t> cuts_;       ///< kCuts only
   std::vector<int> owner_map_;          ///< kIndirect only

@@ -20,9 +20,9 @@ namespace hpfcg::hpf {
 /// Only elements whose owner actually changes travel: keepers are copied
 /// locally, and a pair of ranks exchanging nothing posts no message (the
 /// all-to-all's sparsity pattern is derived on every rank from the two
-/// replicated distributions).  A target identical to the source degenerates
-/// to a pure local copy with no communication at all — both fast paths take
-/// the same branch on every rank, so the check ledger stays aligned.
+/// replicated distributions).  A target equal to the source degenerates to
+/// a pure local copy with no communication at all — the O(NP) comparison
+/// takes the same branch on every rank, so the check ledger stays aligned.
 template <class T>
 DistributedVector<T> redistribute(const DistributedVector<T>& src,
                                   DistPtr target) {
@@ -37,7 +37,7 @@ DistributedVector<T> redistribute(const DistributedVector<T>& src,
   const Distribution& from = src.dist();
   const Distribution& to = *target;
 
-  if (src.dist_ptr() == target || from == to) {
+  if (from == to) {
     DistributedVector<T> dst(proc, std::move(target));
     std::copy(src.local().begin(), src.local().end(), dst.local().begin());
     return dst;

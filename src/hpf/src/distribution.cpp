@@ -108,6 +108,7 @@ Distribution Distribution::indirect(int np, std::vector<int> owner) {
 
 void Distribution::build_counts() {
   counts_.assign(static_cast<std::size_t>(np_), 0);
+  rank_ordered_ = true;  // BLOCK, BLOCK(k) and CUTS; the others below
   switch (kind_) {
     case Kind::kBlock:
     case Kind::kBlockK:
@@ -128,6 +129,8 @@ void Distribution::build_counts() {
       for (std::size_t i = full * cycle; i < n_; ++i) {
         ++counts_[static_cast<std::size_t>(owner(i))];
       }
+      // One rank, or at most one block per rank: then this is BLOCK(k).
+      rank_ordered_ = np_ == 1 || n_ <= cycle;
       break;
     }
     case Kind::kCuts:
@@ -142,6 +145,7 @@ void Distribution::build_counts() {
         counts_[static_cast<std::size_t>(r)] =
             rank_globals_[static_cast<std::size_t>(r)].size();
       }
+      rank_ordered_ = std::is_sorted(owner_map_.begin(), owner_map_.end());
       break;
   }
 }
@@ -255,12 +259,30 @@ std::string Distribution::name() const {
   return "?";
 }
 
+// Every kind numbers a rank's elements in ascending global order, so two
+// maps with the same owner for every index also agree on every local
+// index.  The rules below decide "same owner everywhere" without visiting
+// the n indices except where an arbitrary owner map leaves no shortcut:
+//   * rank-ordered maps are fixed by their counts;
+//   * a rank-ordered map owns contiguous runs and a truly cyclic map
+//     (NP >= 2, n > k*NP) does not, so the two never agree;
+//   * truly cyclic maps with block sizes k1 < k2 disagree at index k1
+//     (owner 1 versus 0), so they agree iff k1 == k2.
+// The per-sweep alignment checks (DistCsr, DistCsc, matvec_dense, the
+// inspector executors, is_aligned) therefore cost O(NP).
 bool Distribution::operator==(const Distribution& o) const {
-  if (n_ != o.n_ || np_ != o.np_) return false;
+  if (this == &o) return true;
+  if (n_ != o.n_ || np_ != o.np_ || counts_ != o.counts_) return false;
+  if (rank_ordered_ != o.rank_ordered_) return false;
+  if (rank_ordered_) return true;
+  if (kind_ != Kind::kIndirect && o.kind_ != Kind::kIndirect) {
+    return k_ == o.k_;
+  }
+  if (kind_ == Kind::kIndirect && o.kind_ == Kind::kIndirect) {
+    return owner_map_ == o.owner_map_;
+  }
   for (std::size_t i = 0; i < n_; ++i) {
-    if (owner(i) != o.owner(i) || local_index(i) != o.local_index(i)) {
-      return false;
-    }
+    if (owner(i) != o.owner(i)) return false;
   }
   return true;
 }

@@ -46,33 +46,12 @@ class PhaseProfile {
   }
 
  private:
-  static Stats delta(const Stats& now, const Stats& then) {
-    Stats d;
-    d.messages_sent = now.messages_sent - then.messages_sent;
-    d.messages_received = now.messages_received - then.messages_received;
-    d.bytes_sent = now.bytes_sent - then.bytes_sent;
-    d.bytes_received = now.bytes_received - then.bytes_received;
-    d.flops = now.flops - then.flops;
-    d.barriers = now.barriers - then.barriers;
-    d.collectives = now.collectives - then.collectives;
-    d.reductions = now.reductions - then.reductions;
-    d.reduction_values = now.reduction_values - then.reduction_values;
-    d.envelopes_inline = now.envelopes_inline - then.envelopes_inline;
-    d.envelopes_pooled = now.envelopes_pooled - then.envelopes_pooled;
-    d.envelopes_heap = now.envelopes_heap - then.envelopes_heap;
-    d.modeled_comm_seconds =
-        now.modeled_comm_seconds - then.modeled_comm_seconds;
-    d.modeled_compute_seconds =
-        now.modeled_compute_seconds - then.modeled_compute_seconds;
-    d.modeled_wait_seconds =
-        now.modeled_wait_seconds - then.modeled_wait_seconds;
-    return d;
-  }
-
   void flush() {
     const Stats now = proc_->stats();
     if (!active_.empty()) {
-      phases_[active_] += delta(now, mark_);
+      Stats delta = now;
+      delta -= mark_;
+      phases_[active_] += delta;
     }
     mark_ = now;
   }

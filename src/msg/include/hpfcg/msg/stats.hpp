@@ -85,36 +85,55 @@ struct Stats {
            modeled_wait_seconds;
   }
 
+  /// Calls f(&Stats::field) for every counter, in declaration order.  The
+  /// one field list: operator+= and operator-= iterate it, so a counter
+  /// added here reaches every aggregate and every per-phase delta.
+  template <class F>
+  static void for_each_field(F&& f) {
+    f(&Stats::messages_sent);
+    f(&Stats::messages_received);
+    f(&Stats::bytes_sent);
+    f(&Stats::bytes_received);
+    f(&Stats::flops);
+    f(&Stats::barriers);
+    f(&Stats::collectives);
+    f(&Stats::reductions);
+    f(&Stats::reduction_values);
+    f(&Stats::repro_reductions);
+    f(&Stats::repro_values);
+    f(&Stats::halo_msgs);
+    f(&Stats::halo_bytes);
+    f(&Stats::ghost_entries);
+    f(&Stats::gather_bytes);
+    f(&Stats::halo_fallbacks);
+    f(&Stats::mg_vcycles);
+    f(&Stats::mg_level_sweeps);
+    f(&Stats::envelopes_inline);
+    f(&Stats::envelopes_pooled);
+    f(&Stats::envelopes_heap);
+    f(&Stats::modeled_comm_seconds);
+    f(&Stats::modeled_compute_seconds);
+    f(&Stats::modeled_wait_seconds);
+  }
+
   /// Element-wise sum, used to aggregate across ranks.
   Stats& operator+=(const Stats& o) {
-    messages_sent += o.messages_sent;
-    messages_received += o.messages_received;
-    bytes_sent += o.bytes_sent;
-    bytes_received += o.bytes_received;
-    flops += o.flops;
-    barriers += o.barriers;
-    collectives += o.collectives;
-    reductions += o.reductions;
-    reduction_values += o.reduction_values;
-    repro_reductions += o.repro_reductions;
-    repro_values += o.repro_values;
-    halo_msgs += o.halo_msgs;
-    halo_bytes += o.halo_bytes;
-    ghost_entries += o.ghost_entries;
-    gather_bytes += o.gather_bytes;
-    halo_fallbacks += o.halo_fallbacks;
-    mg_vcycles += o.mg_vcycles;
-    mg_level_sweeps += o.mg_level_sweeps;
-    envelopes_inline += o.envelopes_inline;
-    envelopes_pooled += o.envelopes_pooled;
-    envelopes_heap += o.envelopes_heap;
-    modeled_comm_seconds += o.modeled_comm_seconds;
-    modeled_compute_seconds += o.modeled_compute_seconds;
-    modeled_wait_seconds += o.modeled_wait_seconds;
+    for_each_field([&](auto field) { this->*field += o.*field; });
+    return *this;
+  }
+
+  /// Element-wise difference: the counters accrued since snapshot `o`.
+  Stats& operator-=(const Stats& o) {
+    for_each_field([&](auto field) { this->*field -= o.*field; });
     return *this;
   }
 
   void reset() { *this = Stats{}; }
 };
+
+// Adding a counter changes sizeof(Stats), so this fails until the new
+// counter is listed in for_each_field and the count here is raised.
+static_assert(sizeof(Stats) == 24 * sizeof(std::uint64_t),
+              "list every Stats counter in Stats::for_each_field");
 
 }  // namespace hpfcg::msg

@@ -51,10 +51,7 @@ SolveResult gmres_dist(const DistOp<T>& a, const hpf::DistributedVector<T>& b,
     if (opts.base.track_residuals && total_steps == 0) {
       res.residual_history.push_back(beta);
     }
-    if (beta <= stop) {
-      res.converged = true;
-      return res;
-    }
+    if (detail::residual_exit(res, beta, stop)) return res;
     hpf::scale<T>(static_cast<T>(1.0 / beta), v[0]);
     std::fill(g.begin(), g.end(), 0.0);
     g[0] = beta;
@@ -98,6 +95,10 @@ SolveResult gmres_dist(const DistOp<T>& a, const hpf::DistributedVector<T>& b,
       const double rnorm = std::abs(g[j + 1]);
       res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
       if (opts.base.track_residuals) res.residual_history.push_back(rnorm);
+      if (!std::isfinite(rnorm)) {  // x takes only the earlier columns
+        res.breakdown = true;
+        break;
+      }
       if (rnorm <= stop || hnext == 0.0) {
         ++j;
         break;

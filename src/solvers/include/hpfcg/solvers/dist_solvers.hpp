@@ -60,6 +60,22 @@ inline void dist_record(msg::Process& proc, SolveResult& res,
   proc.trace_iteration(res.iterations, rnorm);
 }
 
+/// The exit test every solver runs on each residual norm it records:
+/// converged once `rnorm` reaches `stop`, breakdown once it is no longer
+/// finite (a NaN never satisfies `rnorm <= stop`, so without this the solve
+/// would run on to max_iterations).  O(1).  True when the solve must stop.
+inline bool residual_exit(SolveResult& res, double rnorm, double stop) {
+  if (rnorm <= stop) {
+    res.converged = true;
+    return true;
+  }
+  if (!std::isfinite(rnorm)) {
+    res.breakdown = true;
+    return true;
+  }
+  return false;
+}
+
 /// Apply a distributed operator under a trace span (kMatvec / kPrecond).
 template <class T>
 void traced_apply(trace::RankTrace* trc, trace::SpanKind kind,
@@ -110,15 +126,10 @@ SolveResult cg_dist(const DistOp<T>& a, const hpf::DistributedVector<T>& b,
   hpf::axpy<T>(T{-1}, q, r);  // r = b - A x0
   hpf::assign(r, p);
   T rho = hpf::dot_product(r, r);
-  detail::dist_record(b.proc(), res, opts,
-                      std::sqrt(static_cast<double>(rho)));
-  res.relative_residual =
-      bnorm > 0.0 ? std::sqrt(static_cast<double>(rho)) / bnorm
-                  : std::sqrt(static_cast<double>(rho));
-  if (std::sqrt(static_cast<double>(rho)) <= stop) {
-    res.converged = true;
-    return res;
-  }
+  const double rnorm0 = std::sqrt(static_cast<double>(rho));
+  detail::dist_record(b.proc(), res, opts, rnorm0);
+  res.relative_residual = bnorm > 0.0 ? rnorm0 / bnorm : rnorm0;
+  if (detail::residual_exit(res, rnorm0, stop)) return res;
 
   for (std::size_t k = 0; k < opts.max_iterations; ++k) {
     trace::SpanScope iter_span(trc, trace::SpanKind::kIteration,
@@ -140,10 +151,7 @@ SolveResult cg_dist(const DistOp<T>& a, const hpf::DistributedVector<T>& b,
     res.iterations = k + 1;
     res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
     detail::dist_record(b.proc(), res, opts, rnorm);
-    if (rnorm <= stop) {
-      res.converged = true;
-      return res;
-    }
+    if (detail::residual_exit(res, rnorm, stop)) return res;
     const T beta = rho_new / rho;
     hpf::aypx<T>(beta, r, p);  // p = beta p + r   (saypx, Figure 2)
     rho = rho_new;
@@ -191,10 +199,7 @@ SolveResult cg_fused_dist(const DistOp<T>& a,
   const double rnorm0 = std::sqrt(static_cast<double>(gamma));
   res.relative_residual = bnorm > 0.0 ? rnorm0 / bnorm : rnorm0;
   detail::dist_record(b.proc(), res, opts, rnorm0);
-  if (rnorm0 <= stop) {
-    res.converged = true;
-    return res;
-  }
+  if (detail::residual_exit(res, rnorm0, stop)) return res;
   if (delta == T{}) {
     res.breakdown = true;
     return res;
@@ -218,10 +223,7 @@ SolveResult cg_fused_dist(const DistOp<T>& a,
     res.iterations = k + 1;
     res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
     detail::dist_record(b.proc(), res, opts, rnorm);
-    if (rnorm <= stop) {
-      res.converged = true;
-      return res;
-    }
+    if (detail::residual_exit(res, rnorm, stop)) return res;
     const T beta = gamma_new / gamma;
     const T denom = delta_new - beta * gamma_new / alpha;
     if (denom == T{}) {
@@ -265,10 +267,7 @@ SolveResult pcg_dist(const DistOp<T>& a, const DistPrec<T>& m_inv,
   double rnorm = std::sqrt(static_cast<double>(hpf::dot_product(r, r)));
   res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
   detail::dist_record(b.proc(), res, opts, rnorm);
-  if (rnorm <= stop) {
-    res.converged = true;
-    return res;
-  }
+  if (detail::residual_exit(res, rnorm, stop)) return res;
   detail::traced_apply(trc, trace::SpanKind::kPrecond, m_inv, r, z);
   hpf::assign(z, p);
   T rho = hpf::dot_product(r, z);
@@ -289,10 +288,7 @@ SolveResult pcg_dist(const DistOp<T>& a, const DistPrec<T>& m_inv,
     res.iterations = k + 1;
     res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
     detail::dist_record(b.proc(), res, opts, rnorm);
-    if (rnorm <= stop) {
-      res.converged = true;
-      return res;
-    }
+    if (detail::residual_exit(res, rnorm, stop)) return res;
     detail::traced_apply(trc, trace::SpanKind::kPrecond, m_inv, r, z);
     const T rho_new = hpf::dot_product(r, z);
     const T beta = rho_new / rho;
@@ -343,10 +339,7 @@ SolveResult pcg_fused_dist(const DistOp<T>& a, const DistPrec<T>& m_inv,
   const double rnorm0 = std::sqrt(static_cast<double>(d0[2]));
   res.relative_residual = bnorm > 0.0 ? rnorm0 / bnorm : rnorm0;
   detail::dist_record(b.proc(), res, opts, rnorm0);
-  if (rnorm0 <= stop) {
-    res.converged = true;
-    return res;
-  }
+  if (detail::residual_exit(res, rnorm0, stop)) return res;
   if (delta == T{}) {
     res.breakdown = true;
     return res;
@@ -370,10 +363,7 @@ SolveResult pcg_fused_dist(const DistOp<T>& a, const DistPrec<T>& m_inv,
     res.iterations = k + 1;
     res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
     detail::dist_record(b.proc(), res, opts, rnorm);
-    if (rnorm <= stop) {
-      res.converged = true;
-      return res;
-    }
+    if (detail::residual_exit(res, rnorm, stop)) return res;
     if (gamma == T{}) {
       res.breakdown = true;
       break;
@@ -429,10 +419,7 @@ SolveResult bicg_dist(const DistOp<T>& a, const DistOp<T>& a_transpose,
   double rnorm = std::sqrt(static_cast<double>(hpf::dot_product(r, r)));
   res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
   detail::dist_record(b.proc(), res, opts, rnorm);
-  if (rnorm <= stop) {
-    res.converged = true;
-    return res;
-  }
+  if (detail::residual_exit(res, rnorm, stop)) return res;
 
   for (std::size_t k = 0; k < opts.max_iterations; ++k) {
     trace::SpanScope iter_span(trc, trace::SpanKind::kIteration,
@@ -456,10 +443,7 @@ SolveResult bicg_dist(const DistOp<T>& a, const DistOp<T>& a_transpose,
     res.iterations = k + 1;
     res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
     detail::dist_record(b.proc(), res, opts, rnorm);
-    if (rnorm <= stop) {
-      res.converged = true;
-      return res;
-    }
+    if (detail::residual_exit(res, rnorm, stop)) return res;
     const T rho_new = hpf::dot_product(rt, r);
     const T beta = rho_new / rho;
     hpf::aypx<T>(beta, r, p);
@@ -494,10 +478,7 @@ SolveResult bicgstab_dist(const DistOp<T>& a,
   double rnorm = std::sqrt(static_cast<double>(hpf::dot_product(r, r)));
   res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
   detail::dist_record(b.proc(), res, opts, rnorm);
-  if (rnorm <= stop) {
-    res.converged = true;
-    return res;
-  }
+  if (detail::residual_exit(res, rnorm, stop)) return res;
 
   T rho_old{1}, alpha{1}, omega{1};
   for (std::size_t k = 0; k < opts.max_iterations; ++k) {
@@ -551,10 +532,7 @@ SolveResult bicgstab_dist(const DistOp<T>& a,
     res.iterations = k + 1;
     res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
     detail::dist_record(b.proc(), res, opts, rnorm);
-    if (rnorm <= stop) {
-      res.converged = true;
-      return res;
-    }
+    if (detail::residual_exit(res, rnorm, stop)) return res;
     rho_old = rho;
   }
   return res;
@@ -594,10 +572,7 @@ SolveResult bicgstab_fused_dist(const DistOp<T>& a,
   T rho = d0[1];
   res.relative_residual = bnorm > 0.0 ? rnorm0 / bnorm : rnorm0;
   detail::dist_record(b.proc(), res, opts, rnorm0);
-  if (rnorm0 <= stop) {
-    res.converged = true;
-    return res;
-  }
+  if (detail::residual_exit(res, rnorm0, stop)) return res;
 
   T rho_old{1}, alpha{1}, omega{1};
   for (std::size_t k = 0; k < opts.max_iterations; ++k) {
@@ -653,10 +628,7 @@ SolveResult bicgstab_fused_dist(const DistOp<T>& a,
     res.iterations = k + 1;
     res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
     detail::dist_record(b.proc(), res, opts, rnorm);
-    if (rnorm <= stop) {
-      res.converged = true;
-      return res;
-    }
+    if (detail::residual_exit(res, rnorm, stop)) return res;
     rho_old = rho;
     rho = d3[1];
   }
@@ -692,10 +664,7 @@ SolveResult cgs_dist(const DistOp<T>& a, const hpf::DistributedVector<T>& b,
   double rnorm = std::sqrt(static_cast<double>(hpf::dot_product(r, r)));
   res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
   detail::dist_record(b.proc(), res, opts, rnorm);
-  if (rnorm <= stop) {
-    res.converged = true;
-    return res;
-  }
+  if (detail::residual_exit(res, rnorm, stop)) return res;
 
   T rho_old{1};
   for (std::size_t k = 0; k < opts.max_iterations; ++k) {
@@ -740,14 +709,7 @@ SolveResult cgs_dist(const DistOp<T>& a, const hpf::DistributedVector<T>& b,
     res.iterations = k + 1;
     res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
     detail::dist_record(b.proc(), res, opts, rnorm);
-    if (rnorm <= stop) {
-      res.converged = true;
-      return res;
-    }
-    if (!std::isfinite(rnorm)) {
-      res.breakdown = true;  // CGS's "actual divergence"
-      break;
-    }
+    if (detail::residual_exit(res, rnorm, stop)) return res;
     rho_old = rho;
   }
   return res;

@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "hpfcg/msg/phase_profile.hpp"
+#include "hpfcg/sparse/dist_csr.hpp"
+#include "hpfcg/sparse/generators.hpp"
+#include "hpfcg/sparse/halo.hpp"
 #include "spmd_test_util.hpp"
 
 using hpfcg::msg::PhaseProfile;
 using hpfcg::msg::Process;
+using hpfcg::msg::Stats;
 using hpfcg_test::run_spmd;
 
 namespace {
@@ -66,6 +71,38 @@ TEST(PhaseProfile, UnattributedTimeIsDropped) {
     p.add_flops(1);
     prof.exit();
     EXPECT_EQ(prof.of("phase").flops, 1u);
+  });
+}
+
+TEST(PhaseProfile, HaloMatvecPhaseReportsHaloTraffic) {
+  // The per-phase delta must cover every Stats field, the halo counters
+  // included: a phase that runs a halo matvec reports the traffic it made.
+  using hpfcg::hpf::Distribution;
+  using hpfcg::hpf::DistributedVector;
+  const auto a = hpfcg::sparse::laplacian_2d(8, 8);
+  hpfcg::sparse::halo::ScopedEnable halo_on;
+  run_spmd(4, [&](Process& p) {
+    auto dist = std::make_shared<const Distribution>(
+        Distribution::block(a.n_rows(), p.nprocs()));
+    auto mat = hpfcg::sparse::DistCsr<double>::row_aligned(p, a, dist);
+    mat.prepare_halo();  // the plan build stays outside the phase
+    DistributedVector<double> x(p, dist), y(p, dist);
+    x.set_from([](std::size_t g) { return static_cast<double>(g % 5); });
+
+    PhaseProfile prof(p);
+    const Stats before = p.stats();
+    prof.enter("matvec");
+    mat.matvec(x, y);
+    prof.exit();
+    const Stats after = p.stats();
+
+    const Stats got = prof.of("matvec");
+    EXPECT_GT(got.halo_msgs, 0u);
+    EXPECT_EQ(got.halo_msgs, after.halo_msgs - before.halo_msgs);
+    EXPECT_EQ(got.halo_bytes, after.halo_bytes - before.halo_bytes);
+    Stats::for_each_field([&](auto field) {
+      EXPECT_EQ(got.*field, after.*field - before.*field);
+    });
   });
 }
 

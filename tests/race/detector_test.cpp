@@ -51,6 +51,7 @@ void tick_clock(Process& p) {
 
 TEST(RaceDetector, WildcardRaceNamesBothSourcesAndSite) {
   race::ScopedEnable on;
+  check::ScopedEnable no_audit(false);  // races on purpose
   Runtime rt(3);
   rt.run([](Process& p) {
     if (p.rank() == 1) p.send_value<int>(0, 7, 10);
@@ -134,6 +135,7 @@ TEST(RaceDetector, ZeroLengthTokenCarriesTheClock) {
 
 TEST(RaceDetector, PendingMessageAcrossAllreduceIsFlagged) {
   race::ScopedEnable on;
+  check::ScopedEnable no_audit(false);  // races on purpose
   Runtime rt(2);
   rt.run([](Process& p) {
     if (p.rank() == 1) {
@@ -173,6 +175,7 @@ TEST(RaceDetector, ReceiveBeforeFenceIsNotFlagged) {
 
 TEST(RaceDetector, ConcurrentReplicatedWritesAreFlagged) {
   race::ScopedEnable on;
+  check::ScopedEnable no_audit(false);  // races on purpose
   Runtime rt(2);
   rt.run([](Process& p) {
     tick_clock(p);  // leave the all-zero origin so the clocks can diverge
@@ -215,6 +218,7 @@ TEST(RaceDetector, PrivatePublishRacingAWriteIsFlagged) {
   // rank 1 writes its private copy while rank 0's "merge" completes with
   // no ordering edge between them — the update may or may not be merged.
   race::ScopedEnable on;
+  check::ScopedEnable no_audit(false);  // races on purpose
   Runtime rt(2);
   rt.run([](Process& p) {
     tick_clock(p);  // leave the all-zero origin so the clocks can diverge
@@ -287,6 +291,7 @@ TEST(RaceDetector, RacesFailTheCheckTeardownAudit) {
 
 TEST(RaceDetector, JsonReportIsWellFormedAndComplete) {
   race::ScopedEnable on;
+  check::ScopedEnable no_audit(false);  // races on purpose
   Runtime rt(3);
   rt.run([](Process& p) {
     if (p.rank() != 0) p.send_value<int>(0, 7, p.rank());
@@ -312,8 +317,10 @@ TEST(RaceDetector, JsonReportIsWellFormedAndComplete) {
 // ---- off-by-default ----------------------------------------------------
 
 TEST(RaceDetector, NoDetectorWhenDisabled) {
-  // Without the env var / scoped enable, the runtime carries no detector
-  // and racy programs run to completion unflagged (the PR-1 behavior).
+  // With detection disabled (HPFCG_RACE in the environment included), the
+  // runtime carries no detector and racy programs run to completion
+  // unflagged.
+  race::ScopedEnable off(false);
   Runtime rt(2);
   rt.run([](Process& p) {
     if (p.rank() == 1) p.send_value<int>(0, 7, 1);

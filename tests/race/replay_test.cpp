@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "hpfcg/check/check.hpp"
 #include "hpfcg/hpf/intrinsics.hpp"
 #include "hpfcg/hpf/redistribute.hpp"
 #include "hpfcg/msg/process.hpp"
@@ -45,11 +46,14 @@ auto share(Distribution d) {
 }
 
 /// Build-and-run one machine with the given replay seed and detection on;
-/// returns the detector's race count after the run.
+/// returns the detector's race count after the run.  The bodies race on
+/// purpose, so the verifier stays detached even under HPFCG_CHECK=1: its
+/// teardown audit would turn every race the test counts into a throw.
 std::size_t run_with_seed(int np, std::uint64_t seed,
                           const std::function<void(Process&)>& body) {
   race::ScopedEnable on;
   race::ScopedReplaySeed replay(seed);
+  hpfcg::check::ScopedEnable no_audit(false);
   Runtime rt(np);
   rt.run(body);
   return rt.racer()->race_count();
@@ -64,20 +68,30 @@ TEST(RaceReplay, PerSourceFifoSurvivesEveryPermutation) {
   // Whatever order the adversarial network interleaves the sources, each
   // source's own values must arrive in send order (only shard heads are
   // eligible), and the multiset must be complete.
+  //
+  // The detector only sees the candidates pending when a match happens, so
+  // rank 0 first takes a per-sender "done" token (sent after the stream,
+  // under its own tag): every stream is then fully pending before the
+  // first recv_any, and the concurrent heads are always there to flag.  A
+  // barrier would do the same but adds fence-order records of its own.
   constexpr int kNp = 4;
   constexpr int kPerSource = 8;
+  constexpr int kDataTag = 21;
+  constexpr int kDoneTag = 22;
   for (const std::uint64_t seed : {1ull, 42ull, 0xdeadbeefull, 7777ull}) {
     std::vector<std::vector<int>> seen(kNp);
     const std::size_t races =
         run_with_seed(kNp, seed, [&seen](Process& p) {
           if (p.rank() != 0) {
             for (int k = 0; k < kPerSource; ++k) {
-              p.send_value<int>(0, 21, k);
+              p.send_value<int>(0, kDataTag, k);
             }
+            p.send_value<int>(0, kDoneTag, 1);
           } else {
+            for (int s = 1; s < kNp; ++s) (void)p.recv_value<int>(s, kDoneTag);
             for (int i = 0; i < (kNp - 1) * kPerSource; ++i) {
               int src = -1;
-              const int v = p.recv_any<int>(21, src)[0];
+              const int v = p.recv_any<int>(kDataTag, src)[0];
               seen[static_cast<std::size_t>(src)].push_back(v);
             }
           }
@@ -341,6 +355,7 @@ TEST(RaceReplay, OrderDependentWorkloadDivergesOnlyFlagged) {
   const auto report = race::perturbed_replay(30, 99, [](std::uint64_t seed) {
     race::ScopedEnable on;
     race::ScopedReplaySeed replay(seed);
+    hpfcg::check::ScopedEnable no_audit(false);  // races on purpose
     Runtime rt(kNp);
     race::ReplayRun run;
     rt.run([&run](Process& p) {

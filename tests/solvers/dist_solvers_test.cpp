@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "hpfcg/hpf/matvec_dense.hpp"
+#include "hpfcg/solvers/dist_gmres.hpp"
 #include "hpfcg/solvers/dist_solvers.hpp"
 #include "hpfcg/solvers/preconditioner.hpp"
 #include "hpfcg/solvers/serial.hpp"
@@ -264,6 +268,115 @@ TEST_P(DistSolversTest, BicgCostsMoreCommunicationThanCg) {
 
 INSTANTIATE_TEST_SUITE_P(MachineSizes, DistSolversTest,
                          ::testing::ValuesIn(test_machine_sizes()));
+
+// ---- non-finite exit -------------------------------------------------------
+
+/// Runs the distributed solver named `solver` over `op` (and `op_t` for
+/// BiCG), with the identity as the PCG preconditioner.
+sv::SolveResult run_named_solver(const std::string& solver,
+                                 const sv::DistOp<double>& op,
+                                 const sv::DistOp<double>& op_t,
+                                 const DistributedVector<double>& b,
+                                 DistributedVector<double>& x,
+                                 const sv::SolveOptions& opts) {
+  const sv::DistPrec<double> identity =
+      [](const DistributedVector<double>& r, DistributedVector<double>& z) {
+        hpfcg::hpf::assign(r, z);
+      };
+  if (solver == "cg") return sv::cg_dist<double>(op, b, x, opts);
+  if (solver == "cg_fused") return sv::cg_fused_dist<double>(op, b, x, opts);
+  if (solver == "pcg") return sv::pcg_dist<double>(op, identity, b, x, opts);
+  if (solver == "pcg_fused") {
+    return sv::pcg_fused_dist<double>(op, identity, b, x, opts);
+  }
+  if (solver == "bicg") return sv::bicg_dist<double>(op, op_t, b, x, opts);
+  if (solver == "bicgstab") return sv::bicgstab_dist<double>(op, b, x, opts);
+  if (solver == "bicgstab_fused") {
+    return sv::bicgstab_fused_dist<double>(op, b, x, opts);
+  }
+  if (solver == "cgs") return sv::cgs_dist<double>(op, b, x, opts);
+  if (solver == "gmres") {
+    return sv::gmres_dist<double>(op, b, x, {.base = opts, .restart = 10});
+  }
+  ADD_FAILURE() << "unknown solver " << solver;
+  return {};
+}
+
+class NonFiniteExitTest
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
+
+TEST_P(NonFiniteExitTest, NanInRhsStopsBeforeTheFirstIteration) {
+  const auto& [solver, np] = GetParam();
+  const auto a = sp::laplacian_2d(6, 6);
+  auto b_full = sp::random_rhs(a.n_rows(), 17);
+  b_full[a.n_rows() / 2] = std::numeric_limits<double>::quiet_NaN();
+  run_spmd(np, [&](Process& proc) {
+    auto dist = share(Distribution::block(a.n_rows(), proc.nprocs()));
+    auto mat = sp::DistCsr<double>::row_aligned(proc, a, dist);
+    DistributedVector<double> b(proc, dist), x(proc, dist);
+    b.from_global(b_full);
+    const sv::DistOp<double> op = [&](const DistributedVector<double>& p,
+                                      DistributedVector<double>& q) {
+      mat.matvec(p, q);
+    };
+    const sv::DistOp<double> op_t = [&](const DistributedVector<double>& p,
+                                        DistributedVector<double>& q) {
+      mat.matvec_transpose(p, q);
+    };
+    const auto res = run_named_solver(solver, op, op_t, b, x,
+                                      {.max_iterations = 200});
+    EXPECT_TRUE(res.breakdown);
+    EXPECT_FALSE(res.converged);
+    EXPECT_EQ(res.iterations, 0u);
+  });
+}
+
+TEST_P(NonFiniteExitTest, NanFromTheOperatorStopsTheLoop) {
+  // The operator turns one output entry into NaN from its 4th call on, so
+  // the NaN first shows in a residual norm computed inside the loop.
+  const auto& [solver, np] = GetParam();
+  const auto a = sp::laplacian_2d(6, 6);
+  const auto b_full = sp::random_rhs(a.n_rows(), 19);
+  run_spmd(np, [&](Process& proc) {
+    auto dist = share(Distribution::block(a.n_rows(), proc.nprocs()));
+    auto mat = sp::DistCsr<double>::row_aligned(proc, a, dist);
+    DistributedVector<double> b(proc, dist), x(proc, dist);
+    b.from_global(b_full);
+    int calls = 0;
+    const auto poison = [&](DistributedVector<double>& q) {
+      if (++calls >= 4 && proc.rank() == 0) {
+        q.local()[0] = std::numeric_limits<double>::quiet_NaN();
+      }
+    };
+    const sv::DistOp<double> op = [&](const DistributedVector<double>& p,
+                                      DistributedVector<double>& q) {
+      mat.matvec(p, q);
+      poison(q);
+    };
+    const sv::DistOp<double> op_t = [&](const DistributedVector<double>& p,
+                                        DistributedVector<double>& q) {
+      mat.matvec_transpose(p, q);
+      poison(q);
+    };
+    const auto res = run_named_solver(solver, op, op_t, b, x,
+                                      {.max_iterations = 200});
+    EXPECT_TRUE(res.breakdown);
+    EXPECT_FALSE(res.converged);
+    EXPECT_GE(res.iterations, 1u);
+    EXPECT_LE(res.iterations, 4u);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Solvers, NonFiniteExitTest,
+    ::testing::Combine(::testing::Values("cg", "cg_fused", "pcg", "pcg_fused",
+                                         "bicg", "bicgstab", "bicgstab_fused",
+                                         "cgs", "gmres"),
+                       ::testing::Values(1, 4)),
+    [](const auto& info) {
+      return std::get<0>(info.param) + "_np" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 TEST(ZeroRhs, SerialAndDistAgreeOnAbsoluteResidualBranch) {
   // b = 0 switches the stopping rule to an ABSOLUTE residual (the
