@@ -95,9 +95,9 @@ class Distribution {
   [[nodiscard]] std::string name() const;
 
   /// Two distributions are equal iff they map every index identically
-  /// (same owner and local index).  O(NP) unless an INDIRECT map that is
-  /// not rank-ordered meets a cyclic or another INDIRECT one, which walks
-  /// the owners — see the rules in distribution.cpp.
+  /// (same owner and local index).  O(NP) unless one side is an INDIRECT
+  /// map that is not rank-ordered, which walks the owners — see the rules
+  /// in distribution.cpp.
   bool operator==(const Distribution& o) const;
 
  private:

@@ -278,9 +278,6 @@ bool Distribution::operator==(const Distribution& o) const {
   if (kind_ != Kind::kIndirect && o.kind_ != Kind::kIndirect) {
     return k_ == o.k_;
   }
-  if (kind_ == Kind::kIndirect && o.kind_ == Kind::kIndirect) {
-    return owner_map_ == o.owner_map_;
-  }
   for (std::size_t i = 0; i < n_; ++i) {
     if (owner(i) != o.owner(i)) return false;
   }

@@ -38,6 +38,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <type_traits>
 
@@ -96,6 +97,70 @@ class Superacc {
     const double lo = std::fma(a, b, -hi);
     add(hi);
     add(lo);
+  }
+
+  /// Deposit the dot product sum_i x[i] * y[i]: the same exact value as
+  /// add_product on every pair, without a TwoProd and three limb updates
+  /// per addend.  The product of two normal doubles is m * 2^e with an
+  /// integer m < 2^106.  When 2^e >= 2^-1074 and m * 2^e < 2^1023,
+  /// TwoProd's hi + lo is exactly m * 2^e, so products of equal e and sign
+  /// are summed as 128-bit integers, one bin each, and every bin enters the
+  /// limbs once at the end.  Any other pair (a zero, subnormal or nonfinite
+  /// factor, or a product outside that range) takes add_product.
+  void add_products(std::span<const double> x, std::span<const double> y) {
+    constexpr int kMinE = -1074;       // lowest bit on the limb grid
+    constexpr int kMaxE = 1023 - 106;  // keeps m * 2^e below 2^1023
+    constexpr int kBins = kMaxE - kMinE + 1;
+    // Flushing every 2^20 products keeps each bin below 2^126.
+    constexpr std::size_t kFlushEvery = std::size_t{1} << 20;
+    constexpr std::uint64_t kFrac = (std::uint64_t{1} << 52) - 1;
+    constexpr std::uint64_t kHidden = std::uint64_t{1} << 52;
+    // bin[k][neg]: only bins in [lo, hi] are live; each is cleared when
+    // the live range first grows over it.
+    unsigned __int128 bin[kBins][2];
+    int lo = 1;
+    int hi = 0;
+    const auto flush = [&] {
+      for (int k = lo; k <= hi; ++k) {
+        const auto& b = bin[k];
+        add_scaled(static_cast<__int128>(b[0] - b[1]), k + kMinE);
+      }
+      lo = 1;
+      hi = 0;
+    };
+    const std::size_t n = x.size() < y.size() ? x.size() : y.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto ba = std::bit_cast<std::uint64_t>(x[i]);
+      const auto bb = std::bit_cast<std::uint64_t>(y[i]);
+      const int ea = static_cast<int>((ba >> 52) & 0x7FF);
+      const int eb = static_cast<int>((bb >> 52) & 0x7FF);
+      const int k = ea + eb - 2 * 1075 - kMinE;  // e - kMinE
+      if (ea == 0 || ea == 0x7FF || eb == 0 || eb == 0x7FF || k < 0 ||
+          k >= kBins) {
+        add_product(x[i], y[i]);
+        continue;
+      }
+      const unsigned __int128 m =
+          static_cast<unsigned __int128>((ba & kFrac) | kHidden) *
+          ((bb & kFrac) | kHidden);
+      if (k < lo || k > hi) {  // grow the live range over k
+        const bool empty = lo > hi;
+        const int from = empty || k < lo ? k : hi + 1;
+        const int count = (empty || k > hi ? k : lo - 1) - from + 1;
+        std::memset(&bin[from], 0,
+                    sizeof(bin[0]) * static_cast<std::size_t>(count));
+        if (empty) {
+          lo = hi = k;
+        } else if (k < lo) {
+          lo = k;
+        } else {
+          hi = k;
+        }
+      }
+      bin[k][(ba ^ bb) >> 63] += m;
+      if ((i + 1) % kFlushEvery == 0) flush();
+    }
+    flush();
   }
 
   /// Element-wise limb addition — the exact, associative merge used by the
@@ -195,6 +260,31 @@ class Superacc {
     return out;
   }
 
+  /// Deposit v * 2^e exactly, for |v| < 2^127 and -1074 <= e <= 917: the
+  /// bits land in limbs li..li+4 (below the sign limb), each digit < 2^32
+  /// like add()'s.
+  void add_scaled(__int128 v, int e) {
+    if (v == 0) return;
+    const bool neg = v < 0;
+    const auto mag = neg ? -static_cast<unsigned __int128>(v)
+                         : static_cast<unsigned __int128>(v);
+    const int p = e - kBias;  // in-array bit position, >= 14
+    const auto li = static_cast<std::size_t>(p >> 5);
+    const int off = p & 31;
+    const unsigned __int128 w = mag << off;  // bits 0..127 of mag * 2^off
+    const auto w0 = static_cast<std::uint64_t>(w);
+    const auto w1 = static_cast<std::uint64_t>(w >> 64);
+    const std::uint64_t top =  // bits 128 and up
+        static_cast<std::uint64_t>(mag >> 96) >> (kLimbBits - off);
+    const std::int64_t sign = neg ? -1 : 1;
+    limb_[li] += sign * static_cast<std::int64_t>(w0 & 0xFFFFFFFFU);
+    limb_[li + 1] += sign * static_cast<std::int64_t>(w0 >> 32);
+    limb_[li + 2] += sign * static_cast<std::int64_t>(w1 & 0xFFFFFFFFU);
+    limb_[li + 3] += sign * static_cast<std::int64_t>(w1 >> 32);
+    limb_[li + 4] += sign * static_cast<std::int64_t>(top);
+    if (++adds_ >= kRenormEvery) renormalize();
+  }
+
   /// Any set bit strictly below in-array position `bit`?
   [[nodiscard]] bool any_below(int bit) const {
     const int li = bit >> 5;
@@ -222,20 +312,20 @@ static_assert(std::is_trivially_copyable_v<Superacc>,
               "Superacc must travel through memcpy-based envelopes");
 
 /// Exact local dot-product accumulation: every product enters the
-/// accumulator exactly (TwoProd splits a double product into hi + lo;
-/// float products are already exact in double), so the local partial sum
-/// is independent of iteration order and block-cut placement.
+/// accumulator exactly (double products through add_products; float
+/// products are already exact in double), so the local partial sum is
+/// independent of iteration order and block-cut placement.
 template <class T>
 [[nodiscard]] Superacc dot_accumulate(std::span<const T> x,
                                       std::span<const T> y) {
   Superacc acc;
-  const std::size_t n = x.size() < y.size() ? x.size() : y.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if constexpr (sizeof(T) < sizeof(double)) {
+  if constexpr (sizeof(T) < sizeof(double)) {
+    const std::size_t n = x.size() < y.size() ? x.size() : y.size();
+    for (std::size_t i = 0; i < n; ++i) {
       acc.add(static_cast<double>(x[i]) * static_cast<double>(y[i]));
-    } else {
-      acc.add_product(static_cast<double>(x[i]), static_cast<double>(y[i]));
     }
+  } else {
+    acc.add_products(x, y);
   }
   return acc;
 }

@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <span>
 #include <sstream>
 #include <string>
@@ -317,17 +318,23 @@ TEST(RaceDetector, JsonReportIsWellFormedAndComplete) {
 // ---- off-by-default ----------------------------------------------------
 
 TEST(RaceDetector, NoDetectorWhenDisabled) {
-  // With detection disabled (HPFCG_RACE in the environment included), the
-  // runtime carries no detector and racy programs run to completion
-  // unflagged.
+  // With detection off, the runtime carries no detector and racy programs
+  // run to completion unflagged.  Off is the default when HPFCG_RACE is
+  // unset; an explicit disable also overrides HPFCG_RACE=1.
+  const auto racy_machine_has_detector = [] {
+    Runtime rt(2);
+    rt.run([](Process& p) {
+      if (p.rank() == 1) p.send_value<int>(0, 7, 1);
+      if (p.rank() == 0) {
+        int src = -1;
+        (void)p.recv_any<int>(7, src);
+      }
+    });
+    return rt.racer() != nullptr;
+  };
+  if (std::getenv("HPFCG_RACE") == nullptr) {
+    EXPECT_FALSE(racy_machine_has_detector());
+  }
   race::ScopedEnable off(false);
-  Runtime rt(2);
-  rt.run([](Process& p) {
-    if (p.rank() == 1) p.send_value<int>(0, 7, 1);
-    if (p.rank() == 0) {
-      int src = -1;
-      (void)p.recv_any<int>(7, src);
-    }
-  });
-  EXPECT_EQ(rt.racer(), nullptr);
+  EXPECT_FALSE(racy_machine_has_detector());
 }

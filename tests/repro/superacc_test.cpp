@@ -267,6 +267,103 @@ TEST(Superacc, DotAccumulateKeepsTwoProdLowParts) {
   EXPECT_EQ(bits_of(acc.round()), bits_of(expect));
 }
 
+/// The accumulator add_product builds pair by pair, and the one
+/// add_products builds in one call, must hold the same canonical limbs.
+void expect_add_products_matches_pairwise(const std::vector<double>& x,
+                                          const std::vector<double>& y) {
+  repro::Superacc pairwise;
+  for (std::size_t i = 0; i < x.size(); ++i) pairwise.add_product(x[i], y[i]);
+  repro::Superacc binned;
+  binned.add_products(x, y);
+  pairwise.renormalize();
+  binned.renormalize();
+  EXPECT_EQ(std::memcmp(&pairwise, &binned, sizeof pairwise), 0);
+  EXPECT_EQ(bits_of(pairwise.round()), bits_of(binned.round()));
+}
+
+double with_biased_exponent(double v, int biased) {
+  auto b = bits_of(v);
+  b = (b & 0x800FFFFFFFFFFFFFULL) | (static_cast<std::uint64_t>(biased) << 52);
+  return std::bit_cast<double>(b);
+}
+
+TEST(Superacc, AddProductsMatchesAddProductOnEveryClassOfPair) {
+  // The binned path must deposit exactly what TwoProd does: normal pairs
+  // near one binade (shared bins, both signs), arbitrary bit patterns,
+  // zeros, subnormals, infinities, NaN and extremes (the add_product
+  // fallback), and products on both edges of the binned exponent range
+  // (lowest bit 2^-1074, top below 2^1023).
+  const double specials[] = {0.0,
+                             -0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::min(),
+                             std::numeric_limits<double>::max(),
+                             -std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN(),
+                             1.0,
+                             -1.0,
+                             std::ldexp(1.0, -537),
+                             std::ldexp(1.0, 459),
+                             std::ldexp(0x1.fffffffffffffp0, 458),
+                             std::ldexp(1.5, -1022)};
+  std::mt19937_64 gen(0xb1a5u);
+  std::uniform_int_distribution<std::uint64_t> any;
+  std::uniform_real_distribution<double> mant(-2.0, 2.0);
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::size_t n = 1 + static_cast<std::size_t>(trial % 48);
+    const int centre = 1 + static_cast<int>(any(gen) % 2046);
+    std::vector<double> x(n), y(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (double* v : {&x[i], &y[i]}) {
+        switch (any(gen) % 4) {
+          case 0: {  // within a few binades of the trial's centre
+            const int near = centre + static_cast<int>(any(gen) % 9) - 4;
+            *v = with_biased_exponent(mant(gen), std::clamp(near, 1, 2046));
+            break;
+          }
+          case 1:
+            *v = std::bit_cast<double>(any(gen));
+            break;
+          case 2:
+            *v = specials[any(gen) % std::size(specials)];
+            break;
+          default:
+            *v = mant(gen);
+        }
+      }
+      if (any(gen) % 3 == 0) {
+        // Put the product's lowest bit at 2^e for e within 2 of an edge of
+        // the binned range [-1074, 917].
+        const int edge = (any(gen) % 2 == 0 ? -1074 : 917) +
+                         static_cast<int>(any(gen) % 5) - 2;
+        const int ea = 1 + static_cast<int>(any(gen) % 2046);
+        const int eb = edge + 2 * 1075 - ea;
+        if (eb >= 1 && eb <= 2046) {
+          x[i] = with_biased_exponent(mant(gen), ea);
+          y[i] = with_biased_exponent(mant(gen), eb);
+        }
+      }
+    }
+    expect_add_products_matches_pairwise(x, y);
+    if (HasFailure()) {
+      ADD_FAILURE() << "first mismatch at trial " << trial;
+      return;
+    }
+  }
+}
+
+TEST(Superacc, AddProductsKeepsLongRunsOfLargeProductsExact) {
+  // 2^22 + 5 products whose significand products are just under 2^106,
+  // all in one bin: they would wrap a 128-bit bin without the periodic
+  // flush, so the sum checks it.
+  const double a = std::ldexp(0x1.fffffffffffffp0, 3);
+  const std::vector<double> x((std::size_t{1} << 22) + 5, a);
+  expect_add_products_matches_pairwise(x, x);
+}
+
 TEST(Superacc, SumAccumulateMatchesManualAdds) {
   const auto vals = nasty_values(64, 0x50fau);
   repro::Superacc manual;
