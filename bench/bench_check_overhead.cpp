@@ -22,6 +22,7 @@ using hpfcg::hpf::Distribution;
 using hpfcg::hpf::DistributedVector;
 using hpfcg::msg::Process;
 using hpfcg::msg::Stats;
+using hpfcg::msg::counters_identical;
 
 namespace {
 
@@ -60,24 +61,6 @@ Run measure(int np, bool check_on) {
   r.wall_us =
       std::chrono::duration<double, std::micro>(t1 - t0).count();
   return r;
-}
-
-bool counters_identical(const Stats& a, const Stats& b) {
-  return a.messages_sent == b.messages_sent &&
-         a.messages_received == b.messages_received &&
-         a.bytes_sent == b.bytes_sent &&
-         a.bytes_received == b.bytes_received && a.flops == b.flops &&
-         a.barriers == b.barriers && a.collectives == b.collectives &&
-         a.reductions == b.reductions &&
-         a.reduction_values == b.reduction_values &&
-         a.envelopes_inline == b.envelopes_inline &&
-         // The pooled/heap split is a scheduling-dependent diagnostic
-         // (recycle racing the next draw); only the sum is deterministic.
-         a.envelopes_pooled + a.envelopes_heap ==
-             b.envelopes_pooled + b.envelopes_heap &&
-         a.modeled_comm_seconds == b.modeled_comm_seconds &&
-         a.modeled_compute_seconds == b.modeled_compute_seconds &&
-         a.modeled_wait_seconds == b.modeled_wait_seconds;
 }
 
 }  // namespace

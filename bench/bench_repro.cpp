@@ -58,6 +58,7 @@ using hpfcg::hpf::DistributedVector;
 using hpfcg::msg::Process;
 using hpfcg::msg::Runtime;
 using hpfcg::msg::Stats;
+using hpfcg::msg::counters_identical;
 
 namespace {
 
@@ -136,26 +137,6 @@ double best_wall_us(const sp::Csr<double>& a,
     if (i == 0 || w < best) best = w;
   }
   return best;
-}
-
-bool counters_identical(const Stats& a, const Stats& b) {
-  return a.messages_sent == b.messages_sent &&
-         a.messages_received == b.messages_received &&
-         a.bytes_sent == b.bytes_sent &&
-         a.bytes_received == b.bytes_received && a.flops == b.flops &&
-         a.barriers == b.barriers && a.collectives == b.collectives &&
-         a.reductions == b.reductions &&
-         a.reduction_values == b.reduction_values &&
-         a.repro_reductions == b.repro_reductions &&
-         a.repro_values == b.repro_values &&
-         a.envelopes_inline == b.envelopes_inline &&
-         // The pooled/heap split is scheduling-dependent; only the sum is
-         // deterministic per workload.
-         a.envelopes_pooled + a.envelopes_heap ==
-             b.envelopes_pooled + b.envelopes_heap &&
-         a.modeled_comm_seconds == b.modeled_comm_seconds &&
-         a.modeled_compute_seconds == b.modeled_compute_seconds &&
-         a.modeled_wait_seconds == b.modeled_wait_seconds;
 }
 
 }  // namespace

@@ -26,6 +26,7 @@ using hpfcg::hpf::Distribution;
 using hpfcg::hpf::DistributedVector;
 using hpfcg::msg::Process;
 using hpfcg::msg::Stats;
+using hpfcg::msg::counters_identical;
 
 namespace {
 
@@ -65,25 +66,6 @@ Run measure(int np, bool trace_on) {
   r.wall_us = std::chrono::duration<double, std::micro>(t1 - t0).count();
   if (rt->tracer() != nullptr) r.spans = rt->tracer()->total_recorded();
   return r;
-}
-
-bool counters_identical(const Stats& a, const Stats& b) {
-  return a.messages_sent == b.messages_sent &&
-         a.messages_received == b.messages_received &&
-         a.bytes_sent == b.bytes_sent &&
-         a.bytes_received == b.bytes_received && a.flops == b.flops &&
-         a.barriers == b.barriers && a.collectives == b.collectives &&
-         a.reductions == b.reductions &&
-         a.reduction_values == b.reduction_values &&
-         a.envelopes_inline == b.envelopes_inline &&
-         // The pooled/heap split depends on whether a recycled buffer beat
-         // the next large send back to the pool — scheduling, not
-         // semantics — so only the sum is required to match.
-         a.envelopes_pooled + a.envelopes_heap ==
-             b.envelopes_pooled + b.envelopes_heap &&
-         a.modeled_comm_seconds == b.modeled_comm_seconds &&
-         a.modeled_compute_seconds == b.modeled_compute_seconds &&
-         a.modeled_wait_seconds == b.modeled_wait_seconds;
 }
 
 }  // namespace

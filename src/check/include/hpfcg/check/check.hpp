@@ -28,11 +28,13 @@
 // Enablement is two-level:
 //   compile time — CMake option HPFCG_CHECK (ON by default) defines
 //     HPFCG_CHECK_ENABLED; OFF removes every hook from the binary;
-//   run time — environment variable HPFCG_CHECK=1|on|true (sampled once),
+//   run time — environment variable HPFCG_CHECK (a util::Knob, read once),
 //     or programmatic set_enabled() (tests, benches).  A msg::Runtime
 //     samples the flag at construction.
 
 #include <cstdint>
+
+#include "hpfcg/util/knob.hpp"
 
 namespace hpfcg::check {
 
@@ -60,15 +62,6 @@ inline void set_watchdog_timeout_ms(std::int64_t) {}
 #endif
 
 /// RAII enable/disable for tests: restores the previous state on scope exit.
-class ScopedEnable {
- public:
-  explicit ScopedEnable(bool on = true) : prev_(enabled()) { set_enabled(on); }
-  ScopedEnable(const ScopedEnable&) = delete;
-  ScopedEnable& operator=(const ScopedEnable&) = delete;
-  ~ScopedEnable() { set_enabled(prev_); }
-
- private:
-  bool prev_;
-};
+using ScopedEnable = util::ScopedOverride<enabled, set_enabled, true>;
 
 }  // namespace hpfcg::check

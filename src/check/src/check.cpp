@@ -2,54 +2,21 @@
 
 #ifdef HPFCG_CHECK_ENABLED
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
+#include "hpfcg/util/knob.hpp"
 
 namespace hpfcg::check {
 
 namespace {
-
-bool env_truthy(const char* name, bool fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
-  return std::strcmp(v, "1") == 0 || std::strcmp(v, "on") == 0 ||
-         std::strcmp(v, "ON") == 0 || std::strcmp(v, "true") == 0 ||
-         std::strcmp(v, "TRUE") == 0 || std::strcmp(v, "yes") == 0;
-}
-
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{env_truthy("HPFCG_CHECK", false)};
-  return flag;
-}
-
-std::atomic<std::int64_t>& timeout_flag() {
-  static std::atomic<std::int64_t> ms{[] {
-    const char* v = std::getenv("HPFCG_CHECK_TIMEOUT_MS");
-    if (v != nullptr) {
-      const long long parsed = std::atoll(v);
-      if (parsed > 0) return static_cast<std::int64_t>(parsed);
-    }
-    return static_cast<std::int64_t>(20000);
-  }()};
-  return ms;
-}
-
+constinit util::Knob<bool> g_enabled{"HPFCG_CHECK", false};
+constinit util::Knob<std::int64_t> g_timeout_ms{"HPFCG_CHECK_TIMEOUT_MS",
+                                                20000};
 }  // namespace
 
-bool enabled() { return enabled_flag().load(std::memory_order_relaxed); }
+bool enabled() { return g_enabled.get(); }
+void set_enabled(bool on) { g_enabled.set(on); }
 
-void set_enabled(bool on) {
-  enabled_flag().store(on, std::memory_order_relaxed);
-}
-
-std::int64_t watchdog_timeout_ms() {
-  return timeout_flag().load(std::memory_order_relaxed);
-}
-
-void set_watchdog_timeout_ms(std::int64_t ms) {
-  timeout_flag().store(ms, std::memory_order_relaxed);
-}
+std::int64_t watchdog_timeout_ms() { return g_timeout_ms.get(); }
+void set_watchdog_timeout_ms(std::int64_t ms) { g_timeout_ms.set(ms); }
 
 }  // namespace hpfcg::check
 

@@ -13,7 +13,6 @@
 // reproduces the paper's per-step cost `t_startup + t_comm * m`, and the
 // per-rank maximum approximates the machine's critical path.
 
-#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -185,7 +184,6 @@ class Process {
   /// Binomial-tree broadcast: `buf` is input on `root`, output elsewhere.
   template <class T>
   void broadcast(int root, std::vector<T>& buf) {
-    const int p = nprocs();
     // Non-root ranks cannot know the length (it travels in the header), so
     // the fingerprint pins it only on the root.
     conform(check::CollectiveKind::kBroadcast, root, sizeof(T),
@@ -194,61 +192,34 @@ class Process {
                           static_cast<std::uint32_t>(root),
                           buf.size() * sizeof(T), tree_depth());
     const int seq = next_collective();
-    if (p == 1) return;
-    std::size_t len = buf.size();
     // Length travels in the same tree pass as a tiny header message.
-    const int vr = rel_rank(root);
-    int mask = 1;
-    while (mask < p) {
-      if (vr & mask) {
-        const int src = abs_rank(vr - mask, root);
-        len = recv_value<std::size_t>(src, coll_tag(seq, 0));
-        buf.resize(len);
-        recv_into<T>(src, coll_tag(seq, 1), buf);
-        span.set_bytes(len * sizeof(T));
-        break;
-      }
-      mask <<= 1;
-    }
-    mask >>= 1;
-    while (mask > 0) {
-      if (vr + mask < p) {
-        const int dst = abs_rank(vr + mask, root);
-        send_value<std::size_t>(dst, coll_tag(seq, 0), len);
-        send<T>(dst, coll_tag(seq, 1), buf);
-      }
-      mask >>= 1;
-    }
+    tree_bcast(
+        root,
+        [&](int parent) {
+          buf.resize(recv_value<std::size_t>(parent, coll_tag(seq, 0)));
+          recv_into<T>(parent, coll_tag(seq, 1), buf);
+          span.set_bytes(buf.size() * sizeof(T));
+        },
+        [&](int child) {
+          send_value<std::size_t>(child, coll_tag(seq, 0), buf.size());
+          send<T>(child, coll_tag(seq, 1), buf);
+        });
   }
 
   /// Binomial-tree broadcast of a fixed-size buffer (size known on every
   /// rank, so no length header travels — one message per tree edge).
   template <class T>
   void broadcast_into(int root, std::span<T> buf) {
-    const int p = nprocs();
     conform(check::CollectiveKind::kBroadcast, root, sizeof(T), buf.size());
     trace::SpanScope span(trace_, trace::SpanKind::kBroadcast,
                           static_cast<std::uint32_t>(root), buf.size_bytes(),
                           tree_depth());
     const int seq = next_collective();
-    if (p == 1) return;
-    const int vr = rel_rank(root);
-    int mask = 1;
-    while (mask < p) {
-      if (vr & mask) {
-        recv_into<T>(abs_rank(vr - mask, root), coll_tag(seq, 0), buf);
-        break;
-      }
-      mask <<= 1;
-    }
-    mask >>= 1;
-    while (mask > 0) {
-      if (vr + mask < p) {
-        send<T>(abs_rank(vr + mask, root), coll_tag(seq, 0),
-                std::span<const T>(buf.data(), buf.size()));
-      }
-      mask >>= 1;
-    }
+    tree_bcast(
+        root, [&](int parent) { recv_into<T>(parent, coll_tag(seq, 0), buf); },
+        [&](int child) {
+          send<T>(child, coll_tag(seq, 0), std::span<const T>(buf));
+        });
   }
 
   /// Broadcast a single value from `root` and return it everywhere.
@@ -261,28 +232,17 @@ class Process {
   /// Binomial-tree reduction of one value to `root` (valid only there).
   template <class T, class Op = std::plus<T>>
   T reduce(int root, T value, Op op = {}) {
-    const int p = nprocs();
     conform(check::CollectiveKind::kReduce, root, sizeof(T), 1);
     trace::SpanScope span(trace_, trace::SpanKind::kReduce, 1, sizeof(T),
                           tree_depth());
     const int seq = next_collective();
     note_reduction(1);
-    const int vr = rel_rank(root);
-    int mask = 1;
-    while (mask < p) {
-      if ((vr & mask) == 0) {
-        const int partner = vr | mask;
-        if (partner < p) {
-          const T other = recv_value<T>(abs_rank(partner, root),
-                                        coll_tag(seq, 0));
-          value = op(value, other);
-        }
-      } else {
-        send_value<T>(abs_rank(vr - mask, root), coll_tag(seq, 0), value);
-        break;
-      }
-      mask <<= 1;
-    }
+    tree_reduce(
+        root,
+        [&](int child) {
+          value = op(value, recv_value<T>(child, coll_tag(seq, 0)));
+        },
+        [&](int parent) { send_value<T>(parent, coll_tag(seq, 0), value); });
     return value;
   }
 
@@ -292,14 +252,7 @@ class Process {
   /// the correctly rounded exact sum — identical for every NP and tree.
   template <class T, class Op = std::plus<T>>
   T allreduce(T value, Op op = {}) {
-    if constexpr (std::is_floating_point_v<T> && detail::kIsPlus<T, Op>) {
-      if (repro_active()) {
-        repro::Superacc acc;
-        acc.add(static_cast<double>(value));
-        allreduce_acc(std::span<repro::Superacc>(&acc, 1));
-        return static_cast<T>(acc.round());
-      }
-    }
+    if (allreduce_exact<T, Op>(std::span<T>(&value, 1))) return value;
     race_fence("allreduce");
     value = reduce<T, Op>(0, value, op);
     return broadcast_value<T>(0, value);
@@ -309,20 +262,7 @@ class Process {
   /// This is the merge phase of the paper's PRIVATE ... WITH MERGE(+).
   template <class T, class Op = std::plus<T>>
   void allreduce_vec(std::vector<T>& buf, Op op = {}) {
-    if constexpr (std::is_floating_point_v<T> && detail::kIsPlus<T, Op>) {
-      if (repro_active()) {
-        std::vector<repro::Superacc> accs(buf.size());
-        for (std::size_t i = 0; i < buf.size(); ++i) {
-          accs[i].add(static_cast<double>(buf[i]));
-        }
-        allreduce_acc(std::span<repro::Superacc>(accs));
-        for (std::size_t i = 0; i < buf.size(); ++i) {
-          buf[i] = static_cast<T>(accs[i].round());
-        }
-        return;
-      }
-    }
-    const int p = nprocs();
+    if (allreduce_exact<T, Op>(std::span<T>(buf))) return;
     conform(check::CollectiveKind::kAllreduceVec, check::kNoRoot, sizeof(T),
             buf.size());
     race_fence("allreduce_vec");
@@ -331,44 +271,8 @@ class Process {
                           buf.size() * sizeof(T), tree_depth());
     const int seq = next_collective();
     note_reduction(buf.size());
-    if (p == 1) return;
-    const std::size_t n = buf.size();
-    // Binomial reduce to 0 ...
-    int mask = 1;
-    while (mask < p) {
-      if ((rank_ & mask) == 0) {
-        const int partner = rank_ | mask;
-        if (partner < p) {
-          const std::span<T> other = coll_scratch<T>(n);
-          recv_into<T>(partner, coll_tag(seq, 0), other);
-          for (std::size_t i = 0; i < n; ++i) buf[i] = op(buf[i], other[i]);
-          add_flops(n);
-        }
-      } else {
-        send<T>(rank_ - mask, coll_tag(seq, 0),
-                std::span<const T>(buf.data(), n));
-        break;
-      }
-      mask <<= 1;
-    }
-    // ... then broadcast the merged vector (reuse of the tree pattern with
-    // a distinct phase id so steps cannot be confused).
-    int mask2 = 1;
-    while (mask2 < p) {
-      if (rank_ & mask2) {
-        recv_into<T>(rank_ - mask2, coll_tag(seq, 1), buf);
-        break;
-      }
-      mask2 <<= 1;
-    }
-    mask2 >>= 1;
-    while (mask2 > 0) {
-      if (rank_ + mask2 < p) {
-        send<T>(rank_ + mask2, coll_tag(seq, 1),
-                std::span<const T>(buf.data(), n));
-      }
-      mask2 >>= 1;
-    }
+    allreduce_tree(seq, std::span<T>(buf), buf.size(),
+                   [&](T& mine, const T& theirs) { mine = op(mine, theirs); });
   }
 
   // ---- batched (fused) reductions --------------------------------------
@@ -386,23 +290,10 @@ class Process {
   /// reduction booked, Stats untouched.
   template <class T, class Op = std::plus<T>>
   void allreduce_batch(std::span<T> vals, Op op = {}) {
-    if constexpr (std::is_floating_point_v<T> && detail::kIsPlus<T, Op>) {
-      if (repro_active()) {
-        // Same batched tree, exact payloads: the batch stays bit-identical
-        // to vals.size() scalar repro allreduces because each value's exact
-        // sum is independent of its neighbors in the batch.
-        BatchBuffer<repro::Superacc> accs(vals.size());
-        for (std::size_t i = 0; i < vals.size(); ++i) {
-          accs.span()[i].add(static_cast<double>(vals[i]));
-        }
-        allreduce_acc(accs.span());
-        for (std::size_t i = 0; i < vals.size(); ++i) {
-          vals[i] = static_cast<T>(accs.span()[i].round());
-        }
-        return;
-      }
-    }
-    const int p = nprocs();
+    // Same batched tree, exact payloads: the batch stays bit-identical to
+    // vals.size() scalar repro allreduces because each value's exact sum is
+    // independent of its neighbors in the batch.
+    if (allreduce_exact<T, Op>(vals)) return;
     conform(check::CollectiveKind::kAllreduceBatch, check::kNoRoot, sizeof(T),
             vals.size());
     if (vals.empty()) return;  // width-0: no messages, no fence semantics
@@ -412,45 +303,8 @@ class Process {
                           vals.size() * sizeof(T), tree_depth());
     const int seq = next_collective();
     note_reduction(vals.size());
-    if (p == 1) return;
-    const std::size_t k = vals.size();
-    // Reduce to rank 0 (phase 0) ...
-    int mask = 1;
-    while (mask < p) {
-      if ((rank_ & mask) == 0) {
-        const int partner = rank_ | mask;
-        if (partner < p) {
-          BatchBuffer<T> other(k);
-          recv_into<T>(partner, coll_tag(seq, 0), other.span());
-          for (std::size_t i = 0; i < k; ++i) {
-            vals[i] = op(vals[i], other.span()[i]);
-          }
-          add_flops(k);
-        }
-      } else {
-        send<T>(rank_ - mask, coll_tag(seq, 0),
-                std::span<const T>(vals.data(), k));
-        break;
-      }
-      mask <<= 1;
-    }
-    // ... then broadcast the merged batch down the same tree (phase 1).
-    int mask2 = 1;
-    while (mask2 < p) {
-      if (rank_ & mask2) {
-        recv_into<T>(rank_ - mask2, coll_tag(seq, 1), vals);
-        break;
-      }
-      mask2 <<= 1;
-    }
-    mask2 >>= 1;
-    while (mask2 > 0) {
-      if (rank_ + mask2 < p) {
-        send<T>(rank_ + mask2, coll_tag(seq, 1),
-                std::span<const T>(vals.data(), k));
-      }
-      mask2 >>= 1;
-    }
+    allreduce_tree(seq, vals, vals.size(),
+                   [&](T& mine, const T& theirs) { mine = op(mine, theirs); });
   }
 
   /// True when this machine routes sum-class reductions through the exact
@@ -471,7 +325,6 @@ class Process {
   /// limb-merge flops, and bumps the repro_* Stats counters.  k = 0
   /// conforms and then no-ops, like the batch collectives.
   void allreduce_acc(std::span<repro::Superacc> accs) {
-    const int p = nprocs();
     conform(check::CollectiveKind::kReproReduce, check::kNoRoot,
             sizeof(repro::Superacc), accs.size());
     if (accs.empty()) return;
@@ -487,51 +340,16 @@ class Process {
     // Canonical digits on the wire: merge() relies on both sides being
     // renormalized, and rank 0's broadcast limbs must already be canonical.
     for (auto& a : accs) a.renormalize();
-    if (p == 1) return;
-    const std::size_t k = accs.size();
-    // Reduce to rank 0 (phase 0) ...
-    int mask = 1;
-    while (mask < p) {
-      if ((rank_ & mask) == 0) {
-        const int partner = rank_ | mask;
-        if (partner < p) {
-          const std::span<repro::Superacc> other =
-              coll_scratch<repro::Superacc>(k);
-          recv_into<repro::Superacc>(partner, coll_tag(seq, 0), other);
-          for (std::size_t i = 0; i < k; ++i) accs[i].merge(other[i]);
-          add_flops(k * repro::Superacc::kMergeFlops);
-        }
-      } else {
-        send<repro::Superacc>(
-            rank_ - mask, coll_tag(seq, 0),
-            std::span<const repro::Superacc>(accs.data(), k));
-        break;
-      }
-      mask <<= 1;
-    }
-    // ... then broadcast the merged accumulators down the tree (phase 1).
-    int mask2 = 1;
-    while (mask2 < p) {
-      if (rank_ & mask2) {
-        recv_into<repro::Superacc>(rank_ - mask2, coll_tag(seq, 1), accs);
-        break;
-      }
-      mask2 <<= 1;
-    }
-    mask2 >>= 1;
-    while (mask2 > 0) {
-      if (rank_ + mask2 < p) {
-        send<repro::Superacc>(
-            rank_ + mask2, coll_tag(seq, 1),
-            std::span<const repro::Superacc>(accs.data(), k));
-      }
-      mask2 >>= 1;
-    }
+    allreduce_tree(seq, accs, accs.size() * repro::Superacc::kMergeFlops,
+                   [](repro::Superacc& mine, const repro::Superacc& theirs) {
+                     mine.merge(theirs);
+                   });
   }
 
   /// Allocations taken by the reusable vector-collective receive scratch
-  /// (allreduce_vec / allreduce_acc tree levels): backs the regression test
-  /// that the per-level `std::vector other(n)` allocation churn stays gone.
+  /// (the element-wise tree levels of the batch, vector and exact
+  /// reductions): backs the regression test that the per-level receive
+  /// buffer allocation churn stays gone.
   [[nodiscard]] std::uint64_t coll_scratch_allocations() const {
     return coll_scratch_allocations_;
   }
@@ -541,7 +359,6 @@ class Process {
   /// allreduce_batch, k = 0 conforms and then no-ops without touching Stats.
   template <class T, class Op = std::plus<T>>
   void reduce_batch(int root, std::span<T> vals, Op op = {}) {
-    const int p = nprocs();
     conform(check::CollectiveKind::kReduceBatch, root, sizeof(T),
             vals.size());
     if (vals.empty()) return;
@@ -550,29 +367,8 @@ class Process {
                           vals.size() * sizeof(T), tree_depth());
     const int seq = next_collective();
     note_reduction(vals.size());
-    if (p == 1) return;
-    const std::size_t k = vals.size();
-    const int vr = rel_rank(root);
-    int mask = 1;
-    while (mask < p) {
-      if ((vr & mask) == 0) {
-        const int partner = vr | mask;
-        if (partner < p) {
-          BatchBuffer<T> other(k);
-          recv_into<T>(abs_rank(partner, root), coll_tag(seq, 0),
-                       other.span());
-          for (std::size_t i = 0; i < k; ++i) {
-            vals[i] = op(vals[i], other.span()[i]);
-          }
-          add_flops(k);
-        }
-      } else {
-        send<T>(abs_rank(vr - mask, root), coll_tag(seq, 0),
-                std::span<const T>(vals.data(), k));
-        break;
-      }
-      mask <<= 1;
-    }
+    reduce_tree(root, seq, vals, vals.size(),
+                [&](T& mine, const T& theirs) { mine = op(mine, theirs); });
   }
 
   /// All-gather with per-rank block sizes `counts` (known by all, in
@@ -931,31 +727,103 @@ class Process {
   }
 
  private:
-  /// Scratch for a partner's batch in the fused reductions: stack storage
-  /// for the batch widths solvers actually use, heap only beyond that.
-  template <class T>
-  class BatchBuffer {
-   public:
-    explicit BatchBuffer(std::size_t k) : size_(k) {
-      if (k > kStackElems) heap_.resize(k);
+  /// The binomial tree's up-walk toward `root` (ranks numbered relative to
+  /// it): absorb each child in ascending mask order (`merge(child)`), then
+  /// hand the partial to the parent (`send_up(parent)`).  The root only
+  /// merges; a leaf only sends.  One of the two places the tree is walked.
+  template <class Merge, class SendUp>
+  void tree_reduce(int root, Merge&& merge, SendUp&& send_up) {
+    const int p = nprocs();
+    const int vr = rel_rank(root);
+    for (int mask = 1; mask < p; mask <<= 1) {
+      if ((vr & mask) != 0) {
+        send_up(abs_rank(vr - mask, root));
+        return;
+      }
+      if ((vr | mask) < p) merge(abs_rank(vr | mask, root));
     }
-    [[nodiscard]] std::span<T> span() {
-      return {size_ <= kStackElems ? stack_.data() : heap_.data(), size_};
+  }
+
+  /// The binomial tree's down-walk from `root`, the mirror of tree_reduce:
+  /// take the value from the parent (`recv_down(parent)`), then forward it
+  /// to each child in descending mask order (`send_down(child)`).
+  template <class RecvDown, class SendDown>
+  void tree_bcast(int root, RecvDown&& recv_down, SendDown&& send_down) {
+    const int p = nprocs();
+    const int vr = rel_rank(root);
+    int mask = 1;
+    for (; mask < p; mask <<= 1) {
+      if ((vr & mask) != 0) {
+        recv_down(abs_rank(vr - mask, root));
+        break;
+      }
     }
+    for (mask >>= 1; mask > 0; mask >>= 1) {
+      if (vr + mask < p) send_down(abs_rank(vr + mask, root));
+    }
+  }
 
-   private:
-    static constexpr std::size_t kStackElems = 16;
-    std::size_t size_;
-    std::array<T, kStackElems> stack_;
-    std::vector<T> heap_;
-  };
+  /// Element-wise reduction of `vals` to `root` on phase 0: each child's
+  /// block lands in the receive scratch and folds in through
+  /// `merge(mine, theirs)`, booking `flops` per block.
+  template <class T, class Merge>
+  void reduce_tree(int root, int seq, std::span<T> vals, std::uint64_t flops,
+                   Merge merge) {
+    tree_reduce(
+        root,
+        [&](int child) {
+          const std::span<T> other = coll_scratch<T>(vals.size());
+          recv_into<T>(child, coll_tag(seq, 0), other);
+          for (std::size_t i = 0; i < vals.size(); ++i) merge(vals[i], other[i]);
+          add_flops(flops);
+        },
+        [&](int parent) {
+          send<T>(parent, coll_tag(seq, 0), std::span<const T>(vals));
+        });
+  }
 
-  /// Reusable receive scratch for the vector-length collectives
-  /// (allreduce_vec and allreduce_acc tree levels): one buffer grown to the
-  /// high-water byte mark instead of a fresh std::vector per tree level of
-  /// every call — the same hoist as the sparse transpose scratch.  Only
-  /// receiving (non-leaf) tree ranks ever touch it.  Contents are
-  /// overwritten by recv_into before every read, so no initialization runs.
+  /// reduce_tree to rank 0, then the merged block back down the same tree
+  /// on phase 1: the body shared by the element-wise all-reductions.
+  template <class T, class Merge>
+  void allreduce_tree(int seq, std::span<T> vals, std::uint64_t flops,
+                      Merge merge) {
+    reduce_tree(0, seq, vals, flops, merge);
+    tree_bcast(
+        0, [&](int parent) { recv_into<T>(parent, coll_tag(seq, 1), vals); },
+        [&](int child) {
+          send<T>(child, coll_tag(seq, 1), std::span<const T>(vals));
+        });
+  }
+
+  /// The reproducible mode's re-route of a floating-point sum: lift each
+  /// value into an exact accumulator, merge them with allreduce_acc, and
+  /// round back.  Returns false, touching nothing, for any other reduction
+  /// or with the mode off.  The accumulators live in a per-process buffer
+  /// that only grows, so a steady-state solve allocates nothing here.
+  template <class T, class Op>
+  bool allreduce_exact(std::span<T> vals) {
+    if constexpr (std::is_floating_point_v<T> && detail::kIsPlus<T, Op>) {
+      if (!repro_active()) return false;
+      exact_accs_.assign(vals.size(), repro::Superacc{});
+      for (std::size_t i = 0; i < vals.size(); ++i) {
+        exact_accs_[i].add(static_cast<double>(vals[i]));
+      }
+      allreduce_acc(exact_accs_);
+      for (std::size_t i = 0; i < vals.size(); ++i) {
+        vals[i] = static_cast<T>(exact_accs_[i].round());
+      }
+      return true;
+    } else {
+      return false;
+    }
+  }
+
+  /// Reusable receive scratch for the element-wise tree levels
+  /// (reduce_tree): one buffer grown to the high-water byte mark instead of
+  /// a fresh buffer per tree level of every call — the same hoist as the
+  /// sparse transpose scratch.  Only receiving (non-leaf) tree ranks ever
+  /// touch it.  Contents are overwritten by recv_into before every read, so
+  /// no initialization runs.
   template <class T>
   [[nodiscard]] std::span<T> coll_scratch(std::size_t n) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -1078,6 +946,7 @@ class Process {
   trace::RankTrace* trace_;
   std::vector<std::byte> coll_scratch_;
   std::uint64_t coll_scratch_allocations_ = 0;
+  std::vector<repro::Superacc> exact_accs_;
   int coll_seq_ = 0;
   /// Conformance-relevant op count (collectives + barriers), advanced only
   /// while a check harness is attached; independent of the tag space.

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 
 namespace hpfcg::msg {
 
@@ -130,6 +131,20 @@ struct Stats {
 
   void reset() { *this = Stats{}; }
 };
+
+/// True when `a` and `b` agree on every counter, modeled doubles included:
+/// the contract of the side-channel modes (check, trace, race, and repro
+/// while off), which must leave Stats equal under this predicate.  The
+/// pooled/heap envelope split depends on thread scheduling (whether a
+/// recycle beat the next draw), so only envelopes_pooled + envelopes_heap
+/// is compared.
+[[nodiscard]] inline bool counters_identical(Stats a, Stats b) {
+  a.envelopes_pooled += std::exchange(a.envelopes_heap, 0);
+  b.envelopes_pooled += std::exchange(b.envelopes_heap, 0);
+  bool same = true;
+  Stats::for_each_field([&](auto field) { same = same && a.*field == b.*field; });
+  return same;
+}
 
 // Adding a counter changes sizeof(Stats), so this fails until the new
 // counter is listed in for_each_field and the count here is raised.

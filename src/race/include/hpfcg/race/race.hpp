@@ -38,11 +38,13 @@
 // Enablement is two-level:
 //   compile time — CMake option HPFCG_RACE (ON by default) defines
 //     HPFCG_RACE_ENABLED; OFF removes every hook from the binary;
-//   run time — environment variable HPFCG_RACE=1|on|true (sampled once) or
+//   run time — environment variable HPFCG_RACE (a util::Knob, read once) or
 //     set_enabled(); replay via HPFCG_RACE_SEED or set_replay_seed().
 //     A msg::Runtime samples both at construction, like the check harness.
 
 #include <cstdint>
+
+#include "hpfcg/util/knob.hpp"
 
 namespace hpfcg::race {
 
@@ -71,29 +73,9 @@ inline void set_replay_seed(std::uint64_t) {}
 #endif
 
 /// RAII enable/disable for tests: restores the previous state on scope exit.
-class ScopedEnable {
- public:
-  explicit ScopedEnable(bool on = true) : prev_(enabled()) { set_enabled(on); }
-  ScopedEnable(const ScopedEnable&) = delete;
-  ScopedEnable& operator=(const ScopedEnable&) = delete;
-  ~ScopedEnable() { set_enabled(prev_); }
-
- private:
-  bool prev_;
-};
+using ScopedEnable = util::ScopedOverride<enabled, set_enabled, true>;
 
 /// RAII replay-seed override for tests and the replay harness.
-class ScopedReplaySeed {
- public:
-  explicit ScopedReplaySeed(std::uint64_t seed) : prev_(replay_seed()) {
-    set_replay_seed(seed);
-  }
-  ScopedReplaySeed(const ScopedReplaySeed&) = delete;
-  ScopedReplaySeed& operator=(const ScopedReplaySeed&) = delete;
-  ~ScopedReplaySeed() { set_replay_seed(prev_); }
-
- private:
-  std::uint64_t prev_;
-};
+using ScopedReplaySeed = util::ScopedOverride<replay_seed, set_replay_seed>;
 
 }  // namespace hpfcg::race

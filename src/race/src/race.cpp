@@ -2,54 +2,20 @@
 
 #ifdef HPFCG_RACE_ENABLED
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
+#include "hpfcg/util/knob.hpp"
 
 namespace hpfcg::race {
 
 namespace {
-
-bool env_truthy(const char* name, bool fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
-  return std::strcmp(v, "1") == 0 || std::strcmp(v, "on") == 0 ||
-         std::strcmp(v, "ON") == 0 || std::strcmp(v, "true") == 0 ||
-         std::strcmp(v, "TRUE") == 0 || std::strcmp(v, "yes") == 0;
-}
-
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{env_truthy("HPFCG_RACE", false)};
-  return flag;
-}
-
-std::atomic<std::uint64_t>& seed_flag() {
-  static std::atomic<std::uint64_t> seed{[] {
-    const char* v = std::getenv("HPFCG_RACE_SEED");
-    if (v != nullptr) {
-      const unsigned long long parsed = std::strtoull(v, nullptr, 10);
-      return static_cast<std::uint64_t>(parsed);
-    }
-    return std::uint64_t{0};
-  }()};
-  return seed;
-}
-
+constinit util::Knob<bool> g_enabled{"HPFCG_RACE", false};
+constinit util::Knob<std::uint64_t> g_seed{"HPFCG_RACE_SEED", 0};
 }  // namespace
 
-bool enabled() { return enabled_flag().load(std::memory_order_relaxed); }
+bool enabled() { return g_enabled.get(); }
+void set_enabled(bool on) { g_enabled.set(on); }
 
-void set_enabled(bool on) {
-  enabled_flag().store(on, std::memory_order_relaxed);
-}
-
-std::uint64_t replay_seed() {
-  return seed_flag().load(std::memory_order_relaxed);
-}
-
-void set_replay_seed(std::uint64_t seed) {
-  seed_flag().store(seed, std::memory_order_relaxed);
-}
+std::uint64_t replay_seed() { return g_seed.get(); }
+void set_replay_seed(std::uint64_t seed) { g_seed.set(seed); }
 
 }  // namespace hpfcg::race
 

@@ -25,10 +25,12 @@
 // Enablement is two-level:
 //   compile time — CMake option HPFCG_REPRO (ON by default) defines
 //     HPFCG_REPRO_ENABLED; OFF removes the re-routing branches;
-//   run time — environment variable HPFCG_REPRO=1|on|true (sampled once)
+//   run time — environment variable HPFCG_REPRO (a util::Knob, read once)
 //     or set_enabled().  A msg::Runtime samples the flag at construction,
 //     like the check harness, so all ranks of a machine agree on the
 //     collective shapes for the machine's whole lifetime.
+
+#include "hpfcg/util/knob.hpp"
 
 namespace hpfcg::repro {
 
@@ -49,15 +51,6 @@ inline void set_enabled(bool) {}
 #endif
 
 /// RAII enable/disable for tests: restores the previous state on scope exit.
-class ScopedEnable {
- public:
-  explicit ScopedEnable(bool on = true) : prev_(enabled()) { set_enabled(on); }
-  ScopedEnable(const ScopedEnable&) = delete;
-  ScopedEnable& operator=(const ScopedEnable&) = delete;
-  ~ScopedEnable() { set_enabled(prev_); }
-
- private:
-  bool prev_;
-};
+using ScopedEnable = util::ScopedOverride<enabled, set_enabled, true>;
 
 }  // namespace hpfcg::repro

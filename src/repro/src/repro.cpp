@@ -2,34 +2,16 @@
 
 #ifdef HPFCG_REPRO_ENABLED
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
+#include "hpfcg/util/knob.hpp"
 
 namespace hpfcg::repro {
 
 namespace {
-
-bool env_truthy(const char* name, bool fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
-  return std::strcmp(v, "1") == 0 || std::strcmp(v, "on") == 0 ||
-         std::strcmp(v, "ON") == 0 || std::strcmp(v, "true") == 0 ||
-         std::strcmp(v, "TRUE") == 0 || std::strcmp(v, "yes") == 0;
-}
-
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{env_truthy("HPFCG_REPRO", false)};
-  return flag;
-}
-
+constinit util::Knob<bool> g_enabled{"HPFCG_REPRO", false};
 }  // namespace
 
-bool enabled() { return enabled_flag().load(std::memory_order_relaxed); }
-
-void set_enabled(bool on) {
-  enabled_flag().store(on, std::memory_order_relaxed);
-}
+bool enabled() { return g_enabled.get(); }
+void set_enabled(bool on) { g_enabled.set(on); }
 
 }  // namespace hpfcg::repro
 

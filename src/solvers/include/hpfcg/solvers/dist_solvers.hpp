@@ -52,28 +52,13 @@ using DistPrec = DistOp<T>;
 using RebalanceHook = std::function<hpf::DistPtr()>;
 
 namespace detail {
-/// Record a residual evaluation: into the history (when tracked) and onto
-/// the solver's per-iteration trace metrics channel (when tracing).
-inline void dist_record(msg::Process& proc, SolveResult& res,
-                        const SolveOptions& opts, double rnorm) {
-  if (opts.track_residuals) res.residual_history.push_back(rnorm);
+/// record_exit, also publishing the evaluation on the solver's
+/// per-iteration trace metrics channel (when tracing).
+inline bool record_exit(msg::Process& proc, SolveResult& res,
+                        const SolveOptions& opts, double rnorm, double bnorm,
+                        double stop) {
   proc.trace_iteration(res.iterations, rnorm);
-}
-
-/// The exit test every solver runs on each residual norm it records:
-/// converged once `rnorm` reaches `stop`, breakdown once it is no longer
-/// finite (a NaN never satisfies `rnorm <= stop`, so without this the solve
-/// would run on to max_iterations).  O(1).  True when the solve must stop.
-inline bool residual_exit(SolveResult& res, double rnorm, double stop) {
-  if (rnorm <= stop) {
-    res.converged = true;
-    return true;
-  }
-  if (!std::isfinite(rnorm)) {
-    res.breakdown = true;
-    return true;
-  }
-  return false;
+  return record_exit(res, opts, rnorm, bnorm, stop);
 }
 
 /// Apply a distributed operator under a trace span (kMatvec / kPrecond).
@@ -127,9 +112,7 @@ SolveResult cg_dist(const DistOp<T>& a, const hpf::DistributedVector<T>& b,
   hpf::assign(r, p);
   T rho = hpf::dot_product(r, r);
   const double rnorm0 = std::sqrt(static_cast<double>(rho));
-  detail::dist_record(b.proc(), res, opts, rnorm0);
-  res.relative_residual = bnorm > 0.0 ? rnorm0 / bnorm : rnorm0;
-  if (detail::residual_exit(res, rnorm0, stop)) return res;
+  if (detail::record_exit(b.proc(), res, opts, rnorm0, bnorm, stop)) return res;
 
   for (std::size_t k = 0; k < opts.max_iterations; ++k) {
     trace::SpanScope iter_span(trc, trace::SpanKind::kIteration,
@@ -149,9 +132,9 @@ SolveResult cg_dist(const DistOp<T>& a, const hpf::DistributedVector<T>& b,
     const T rho_new = hpf::dot_product(r, r);
     const double rnorm = std::sqrt(static_cast<double>(rho_new));
     res.iterations = k + 1;
-    res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
-    detail::dist_record(b.proc(), res, opts, rnorm);
-    if (detail::residual_exit(res, rnorm, stop)) return res;
+    if (detail::record_exit(b.proc(), res, opts, rnorm, bnorm, stop)) {
+      return res;
+    }
     const T beta = rho_new / rho;
     hpf::aypx<T>(beta, r, p);  // p = beta p + r   (saypx, Figure 2)
     rho = rho_new;
@@ -197,9 +180,7 @@ SolveResult cg_fused_dist(const DistOp<T>& a,
   T gamma = d0[0];
   T delta = d0[1];
   const double rnorm0 = std::sqrt(static_cast<double>(gamma));
-  res.relative_residual = bnorm > 0.0 ? rnorm0 / bnorm : rnorm0;
-  detail::dist_record(b.proc(), res, opts, rnorm0);
-  if (detail::residual_exit(res, rnorm0, stop)) return res;
+  if (detail::record_exit(b.proc(), res, opts, rnorm0, bnorm, stop)) return res;
   if (delta == T{}) {
     res.breakdown = true;
     return res;
@@ -221,9 +202,9 @@ SolveResult cg_fused_dist(const DistOp<T>& a,
     const T delta_new = d[1];
     const double rnorm = std::sqrt(static_cast<double>(gamma_new));
     res.iterations = k + 1;
-    res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
-    detail::dist_record(b.proc(), res, opts, rnorm);
-    if (detail::residual_exit(res, rnorm, stop)) return res;
+    if (detail::record_exit(b.proc(), res, opts, rnorm, bnorm, stop)) {
+      return res;
+    }
     const T beta = gamma_new / gamma;
     const T denom = delta_new - beta * gamma_new / alpha;
     if (denom == T{}) {
@@ -265,9 +246,7 @@ SolveResult pcg_dist(const DistOp<T>& a, const DistPrec<T>& m_inv,
   hpf::assign(b, r);
   hpf::axpy<T>(T{-1}, q, r);
   double rnorm = std::sqrt(static_cast<double>(hpf::dot_product(r, r)));
-  res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
-  detail::dist_record(b.proc(), res, opts, rnorm);
-  if (detail::residual_exit(res, rnorm, stop)) return res;
+  if (detail::record_exit(b.proc(), res, opts, rnorm, bnorm, stop)) return res;
   detail::traced_apply(trc, trace::SpanKind::kPrecond, m_inv, r, z);
   hpf::assign(z, p);
   T rho = hpf::dot_product(r, z);
@@ -286,9 +265,9 @@ SolveResult pcg_dist(const DistOp<T>& a, const DistPrec<T>& m_inv,
     hpf::axpy<T>(-alpha, q, r);
     rnorm = std::sqrt(static_cast<double>(hpf::dot_product(r, r)));
     res.iterations = k + 1;
-    res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
-    detail::dist_record(b.proc(), res, opts, rnorm);
-    if (detail::residual_exit(res, rnorm, stop)) return res;
+    if (detail::record_exit(b.proc(), res, opts, rnorm, bnorm, stop)) {
+      return res;
+    }
     detail::traced_apply(trc, trace::SpanKind::kPrecond, m_inv, r, z);
     const T rho_new = hpf::dot_product(r, z);
     const T beta = rho_new / rho;
@@ -337,9 +316,7 @@ SolveResult pcg_fused_dist(const DistOp<T>& a, const DistPrec<T>& m_inv,
   T gamma = d0[0];
   T delta = d0[1];
   const double rnorm0 = std::sqrt(static_cast<double>(d0[2]));
-  res.relative_residual = bnorm > 0.0 ? rnorm0 / bnorm : rnorm0;
-  detail::dist_record(b.proc(), res, opts, rnorm0);
-  if (detail::residual_exit(res, rnorm0, stop)) return res;
+  if (detail::record_exit(b.proc(), res, opts, rnorm0, bnorm, stop)) return res;
   if (delta == T{}) {
     res.breakdown = true;
     return res;
@@ -361,9 +338,9 @@ SolveResult pcg_fused_dist(const DistOp<T>& a, const DistPrec<T>& m_inv,
     const T delta_new = d[1];
     const double rnorm = std::sqrt(static_cast<double>(d[2]));
     res.iterations = k + 1;
-    res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
-    detail::dist_record(b.proc(), res, opts, rnorm);
-    if (detail::residual_exit(res, rnorm, stop)) return res;
+    if (detail::record_exit(b.proc(), res, opts, rnorm, bnorm, stop)) {
+      return res;
+    }
     if (gamma == T{}) {
       res.breakdown = true;
       break;
@@ -417,9 +394,7 @@ SolveResult bicg_dist(const DistOp<T>& a, const DistOp<T>& a_transpose,
   hpf::assign(rt, pt);
   T rho = hpf::dot_product(rt, r);
   double rnorm = std::sqrt(static_cast<double>(hpf::dot_product(r, r)));
-  res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
-  detail::dist_record(b.proc(), res, opts, rnorm);
-  if (detail::residual_exit(res, rnorm, stop)) return res;
+  if (detail::record_exit(b.proc(), res, opts, rnorm, bnorm, stop)) return res;
 
   for (std::size_t k = 0; k < opts.max_iterations; ++k) {
     trace::SpanScope iter_span(trc, trace::SpanKind::kIteration,
@@ -441,9 +416,9 @@ SolveResult bicg_dist(const DistOp<T>& a, const DistOp<T>& a_transpose,
     hpf::axpy<T>(-alpha, qt, rt);
     rnorm = std::sqrt(static_cast<double>(hpf::dot_product(r, r)));
     res.iterations = k + 1;
-    res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
-    detail::dist_record(b.proc(), res, opts, rnorm);
-    if (detail::residual_exit(res, rnorm, stop)) return res;
+    if (detail::record_exit(b.proc(), res, opts, rnorm, bnorm, stop)) {
+      return res;
+    }
     const T rho_new = hpf::dot_product(rt, r);
     const T beta = rho_new / rho;
     hpf::aypx<T>(beta, r, p);
@@ -476,9 +451,7 @@ SolveResult bicgstab_dist(const DistOp<T>& a,
   hpf::axpy<T>(T{-1}, t, r);
   hpf::assign(r, rt);
   double rnorm = std::sqrt(static_cast<double>(hpf::dot_product(r, r)));
-  res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
-  detail::dist_record(b.proc(), res, opts, rnorm);
-  if (detail::residual_exit(res, rnorm, stop)) return res;
+  if (detail::record_exit(b.proc(), res, opts, rnorm, bnorm, stop)) return res;
 
   T rho_old{1}, alpha{1}, omega{1};
   for (std::size_t k = 0; k < opts.max_iterations; ++k) {
@@ -511,9 +484,7 @@ SolveResult bicgstab_dist(const DistOp<T>& a,
     if (snorm <= stop) {
       hpf::axpy<T>(alpha, p, x);
       res.iterations = k + 1;
-      res.relative_residual = bnorm > 0.0 ? snorm / bnorm : snorm;
-      detail::dist_record(b.proc(), res, opts, snorm);
-      res.converged = true;
+      detail::record_exit(b.proc(), res, opts, snorm, bnorm, stop);  // converged
       return res;
     }
     detail::traced_apply(trc, trace::SpanKind::kMatvec, a, s, t);
@@ -530,9 +501,9 @@ SolveResult bicgstab_dist(const DistOp<T>& a,
     hpf::axpy<T>(-omega, t, r);
     rnorm = std::sqrt(static_cast<double>(hpf::dot_product(r, r)));
     res.iterations = k + 1;
-    res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
-    detail::dist_record(b.proc(), res, opts, rnorm);
-    if (detail::residual_exit(res, rnorm, stop)) return res;
+    if (detail::record_exit(b.proc(), res, opts, rnorm, bnorm, stop)) {
+      return res;
+    }
     rho_old = rho;
   }
   return res;
@@ -570,9 +541,7 @@ SolveResult bicgstab_fused_dist(const DistOp<T>& a,
   const auto d0 = hpf::dot_products(r, r, rt, r);
   const double rnorm0 = std::sqrt(static_cast<double>(d0[0]));
   T rho = d0[1];
-  res.relative_residual = bnorm > 0.0 ? rnorm0 / bnorm : rnorm0;
-  detail::dist_record(b.proc(), res, opts, rnorm0);
-  if (detail::residual_exit(res, rnorm0, stop)) return res;
+  if (detail::record_exit(b.proc(), res, opts, rnorm0, bnorm, stop)) return res;
 
   T rho_old{1}, alpha{1}, omega{1};
   for (std::size_t k = 0; k < opts.max_iterations; ++k) {
@@ -608,9 +577,7 @@ SolveResult bicgstab_fused_dist(const DistOp<T>& a,
     if (snorm <= stop) {
       hpf::axpy<T>(alpha, p, x);
       res.iterations = k + 1;
-      res.relative_residual = bnorm > 0.0 ? snorm / bnorm : snorm;
-      detail::dist_record(b.proc(), res, opts, snorm);
-      res.converged = true;
+      detail::record_exit(b.proc(), res, opts, snorm, bnorm, stop);  // converged
       return res;
     }
     if (tt == T{}) {
@@ -626,9 +593,9 @@ SolveResult bicgstab_fused_dist(const DistOp<T>& a,
     const auto d3 = hpf::dot_products(r, r, rt, r);
     const double rnorm = std::sqrt(static_cast<double>(d3[0]));
     res.iterations = k + 1;
-    res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
-    detail::dist_record(b.proc(), res, opts, rnorm);
-    if (detail::residual_exit(res, rnorm, stop)) return res;
+    if (detail::record_exit(b.proc(), res, opts, rnorm, bnorm, stop)) {
+      return res;
+    }
     rho_old = rho;
     rho = d3[1];
   }
@@ -662,9 +629,7 @@ SolveResult cgs_dist(const DistOp<T>& a, const hpf::DistributedVector<T>& b,
   hpf::axpy<T>(T{-1}, t, r);
   hpf::assign(r, rt);
   double rnorm = std::sqrt(static_cast<double>(hpf::dot_product(r, r)));
-  res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
-  detail::dist_record(b.proc(), res, opts, rnorm);
-  if (detail::residual_exit(res, rnorm, stop)) return res;
+  if (detail::record_exit(b.proc(), res, opts, rnorm, bnorm, stop)) return res;
 
   T rho_old{1};
   for (std::size_t k = 0; k < opts.max_iterations; ++k) {
@@ -707,9 +672,9 @@ SolveResult cgs_dist(const DistOp<T>& a, const hpf::DistributedVector<T>& b,
     hpf::axpy<T>(-alpha, t, r);
     rnorm = std::sqrt(static_cast<double>(hpf::dot_product(r, r)));
     res.iterations = k + 1;
-    res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
-    detail::dist_record(b.proc(), res, opts, rnorm);
-    if (detail::residual_exit(res, rnorm, stop)) return res;
+    if (detail::record_exit(b.proc(), res, opts, rnorm, bnorm, stop)) {
+      return res;
+    }
     rho_old = rho;
   }
   return res;

@@ -2,6 +2,7 @@
 // Shared iterative-solver configuration and reporting types.
 
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -59,5 +60,34 @@ struct SolveResult {
     return h;
   }
 };
+
+namespace detail {
+/// The exit test every solver, serial and distributed, runs on each
+/// residual norm it records: converged once `rnorm` reaches `stop`,
+/// breakdown once it is no longer finite (a NaN never satisfies
+/// `rnorm <= stop`, so without this the solve would run on to
+/// max_iterations).  O(1).  True when the solve must stop.
+inline bool residual_exit(SolveResult& res, double rnorm, double stop) {
+  if (rnorm <= stop) {
+    res.converged = true;
+    return true;
+  }
+  if (!std::isfinite(rnorm)) {
+    res.breakdown = true;
+    return true;
+  }
+  return false;
+}
+
+/// Record one residual evaluation as the exit residual (and into the
+/// history when tracked), then run residual_exit on it.  True when the
+/// solve must stop.
+inline bool record_exit(SolveResult& res, const SolveOptions& opts,
+                        double rnorm, double bnorm, double stop) {
+  res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
+  if (opts.track_residuals) res.residual_history.push_back(rnorm);
+  return residual_exit(res, rnorm, stop);
+}
+}  // namespace detail
 
 }  // namespace hpfcg::solvers

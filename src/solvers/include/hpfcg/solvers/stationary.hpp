@@ -26,6 +26,11 @@ SolveResult jacobi_iteration(const sparse::Csr<double>& a,
                              std::span<const double> b, std::span<double> x,
                              const SolveOptions& opts = {});
 
+/// Matrix-free serial Jacobi iteration: `diag` is A's (nonzero) diagonal.
+SolveResult jacobi_iteration(const MatVec& a, std::span<const double> diag,
+                             std::span<const double> b, std::span<double> x,
+                             const SolveOptions& opts = {});
+
 /// Serial SOR (omega = 1 gives Gauss-Seidel).  Sequential sweeps.
 SolveResult sor_iteration(const sparse::Csr<double>& a,
                           std::span<const double> b, std::span<double> x,
@@ -54,12 +59,7 @@ SolveResult jacobi_iteration_dist(const DistOp<T>& a,
     const double rnorm =
         std::sqrt(static_cast<double>(hpf::dot_product(r, r)));
     res.iterations = k;
-    res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
-    if (opts.track_residuals) res.residual_history.push_back(rnorm);
-    if (rnorm <= stop) {
-      res.converged = true;
-      return res;
-    }
+    if (detail::record_exit(res, opts, rnorm, bnorm, stop)) return res;
     // x += D^{-1} r  — purely local given the aligned inverse diagonal.
     auto xs = x.local();
     auto rs = r.local();

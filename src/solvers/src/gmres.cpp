@@ -43,10 +43,7 @@ SolveResult gmres(const MatVec& a, std::span<const double> b,
     if (opts.base.track_residuals && total_steps == 0) {
       res.residual_history.push_back(beta);
     }
-    if (beta <= stop) {
-      res.converged = true;
-      return res;
-    }
+    if (detail::residual_exit(res, beta, stop)) return res;
     const double inv_beta = 1.0 / beta;
     for (auto& vi : v[0]) vi *= inv_beta;
     std::fill(g.begin(), g.end(), 0.0);
@@ -94,6 +91,10 @@ SolveResult gmres(const MatVec& a, std::span<const double> b,
       const double rnorm = std::abs(g[j + 1]);
       res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
       if (opts.base.track_residuals) res.residual_history.push_back(rnorm);
+      if (!std::isfinite(rnorm)) {  // x takes only the earlier columns
+        res.breakdown = true;
+        break;
+      }
       if (rnorm <= stop || hnext == 0.0) {
         ++j;  // include this column in the update
         break;

@@ -10,18 +10,12 @@ namespace hpfcg::solvers {
 
 namespace {
 
+using detail::record_exit;
 using util::axpy;
 using util::aypx;
 using util::dot_local;
 
 double norm2(std::span<const double> v) { return std::sqrt(dot_local(v, v)); }
-
-/// Shared epilogue bookkeeping.
-void record(SolveResult& res, const SolveOptions& opts, double rnorm,
-            double bnorm) {
-  res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
-  if (opts.track_residuals) res.residual_history.push_back(rnorm);
-}
 
 MatVec wrap(const sparse::Csr<double>& a) {
   return [&a](std::span<const double> x, std::span<double> y) {
@@ -50,11 +44,7 @@ SolveResult cg(const MatVec& a, std::span<const double> b,
   for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - q[i];
   util::copy<double>(r, p);
   double rho = dot_local<double>(r, r);
-  record(res, opts, std::sqrt(rho), bnorm);
-  if (std::sqrt(rho) <= stop) {
-    res.converged = true;
-    return res;
-  }
+  if (record_exit(res, opts, std::sqrt(rho), bnorm, stop)) return res;
 
   for (std::size_t k = 0; k < opts.max_iterations; ++k) {
     a(p, q);
@@ -68,11 +58,7 @@ SolveResult cg(const MatVec& a, std::span<const double> b,
     axpy<double>(-alpha, q, r);
     const double rho_new = dot_local<double>(r, r);
     res.iterations = k + 1;
-    record(res, opts, std::sqrt(rho_new), bnorm);
-    if (std::sqrt(rho_new) <= stop) {
-      res.converged = true;
-      return res;
-    }
+    if (record_exit(res, opts, std::sqrt(rho_new), bnorm, stop)) return res;
     const double beta = rho_new / rho;
     aypx<double>(beta, r, p);  // p = beta*p + r (the saypx of Figure 2)
     rho = rho_new;
@@ -100,11 +86,7 @@ SolveResult cg_fused(const MatVec& a, std::span<const double> b,
   // In the distributed solver these two dots are ONE merge.
   double gamma = dot_local<double>(r, r);
   double delta = dot_local<double>(w, r);
-  record(res, opts, std::sqrt(gamma), bnorm);
-  if (std::sqrt(gamma) <= stop) {
-    res.converged = true;
-    return res;
-  }
+  if (record_exit(res, opts, std::sqrt(gamma), bnorm, stop)) return res;
   if (delta == 0.0) {
     res.breakdown = true;
     return res;
@@ -120,9 +102,7 @@ SolveResult cg_fused(const MatVec& a, std::span<const double> b,
     const double gamma_new = dot_local<double>(r, r);
     const double delta_new = dot_local<double>(w, r);
     res.iterations = k + 1;
-    record(res, opts, std::sqrt(gamma_new), bnorm);
-    if (std::sqrt(gamma_new) <= stop) {
-      res.converged = true;
+    if (record_exit(res, opts, std::sqrt(gamma_new), bnorm, stop)) {
       return res;
     }
     const double beta = gamma_new / gamma;
@@ -156,11 +136,7 @@ SolveResult pcg(const MatVec& a, const PrecApply& m_inv,
   std::vector<double> r(n), z(n), p(n), q(n);
   a(x, q);
   for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - q[i];
-  record(res, opts, norm2(r), bnorm);
-  if (norm2(r) <= stop) {
-    res.converged = true;
-    return res;
-  }
+  if (record_exit(res, opts, norm2(r), bnorm, stop)) return res;
   m_inv(r, z);
   util::copy<double>(z, p);
   double rho = dot_local<double>(r, z);
@@ -177,11 +153,7 @@ SolveResult pcg(const MatVec& a, const PrecApply& m_inv,
     axpy<double>(-alpha, q, r);
     const double rnorm = norm2(r);
     res.iterations = k + 1;
-    record(res, opts, rnorm, bnorm);
-    if (rnorm <= stop) {
-      res.converged = true;
-      return res;
-    }
+    if (record_exit(res, opts, rnorm, bnorm, stop)) return res;
     m_inv(r, z);
     const double rho_new = dot_local<double>(r, z);
     const double beta = rho_new / rho;
@@ -215,11 +187,7 @@ SolveResult pcg_fused(const MatVec& a, const PrecApply& m_inv,
   double gamma = dot_local<double>(r, u);
   double rr = dot_local<double>(r, r);
   double delta = dot_local<double>(w, u);
-  record(res, opts, std::sqrt(rr), bnorm);
-  if (std::sqrt(rr) <= stop) {
-    res.converged = true;
-    return res;
-  }
+  if (record_exit(res, opts, std::sqrt(rr), bnorm, stop)) return res;
   if (delta == 0.0) {
     res.breakdown = true;
     return res;
@@ -237,11 +205,7 @@ SolveResult pcg_fused(const MatVec& a, const PrecApply& m_inv,
     const double delta_new = dot_local<double>(w, u);
     rr = dot_local<double>(r, r);
     res.iterations = k + 1;
-    record(res, opts, std::sqrt(rr), bnorm);
-    if (std::sqrt(rr) <= stop) {
-      res.converged = true;
-      return res;
-    }
+    if (record_exit(res, opts, std::sqrt(rr), bnorm, stop)) return res;
     if (gamma == 0.0) {
       res.breakdown = true;
       break;
@@ -282,11 +246,7 @@ SolveResult bicg(const MatVec& a, const MatVec& a_transpose,
   util::copy<double>(r, p);
   util::copy<double>(rt, pt);
   double rho = dot_local<double>(rt, r);
-  record(res, opts, norm2(r), bnorm);
-  if (norm2(r) <= stop) {
-    res.converged = true;
-    return res;
-  }
+  if (record_exit(res, opts, norm2(r), bnorm, stop)) return res;
 
   for (std::size_t k = 0; k < opts.max_iterations; ++k) {
     if (rho == 0.0) {
@@ -306,11 +266,7 @@ SolveResult bicg(const MatVec& a, const MatVec& a_transpose,
     axpy<double>(-alpha, qt, rt);
     const double rnorm = norm2(r);
     res.iterations = k + 1;
-    record(res, opts, rnorm, bnorm);
-    if (rnorm <= stop) {
-      res.converged = true;
-      return res;
-    }
+    if (record_exit(res, opts, rnorm, bnorm, stop)) return res;
     const double rho_new = dot_local<double>(rt, r);
     const double beta = rho_new / rho;
     aypx<double>(beta, r, p);    // p  = r  + beta*p
@@ -337,11 +293,7 @@ SolveResult cgs(const MatVec& a, std::span<const double> b,
   a(x, t);
   for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - t[i];
   util::copy<double>(r, rt);
-  record(res, opts, norm2(r), bnorm);
-  if (norm2(r) <= stop) {
-    res.converged = true;
-    return res;
-  }
+  if (record_exit(res, opts, norm2(r), bnorm, stop)) return res;
 
   double rho_old = 1.0;
   for (std::size_t k = 0; k < opts.max_iterations; ++k) {
@@ -374,15 +326,8 @@ SolveResult cgs(const MatVec& a, std::span<const double> b,
     axpy<double>(-alpha, t, r);
     const double rnorm = norm2(r);
     res.iterations = k + 1;
-    record(res, opts, rnorm, bnorm);
-    if (rnorm <= stop) {
-      res.converged = true;
-      return res;
-    }
-    if (!std::isfinite(rnorm)) {
-      res.breakdown = true;  // CGS's "actual divergence" (Section 2.1)
-      break;
-    }
+    // A non-finite norm here is CGS's "actual divergence" (Section 2.1).
+    if (record_exit(res, opts, rnorm, bnorm, stop)) return res;
     rho_old = rho;
   }
   return res;
@@ -405,11 +350,7 @@ SolveResult bicgstab(const MatVec& a, std::span<const double> b,
   a(x, t);
   for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - t[i];
   util::copy<double>(r, rt);
-  record(res, opts, norm2(r), bnorm);
-  if (norm2(r) <= stop) {
-    res.converged = true;
-    return res;
-  }
+  if (record_exit(res, opts, norm2(r), bnorm, stop)) return res;
 
   double rho_old = 1.0, alpha = 1.0, omega = 1.0;
   for (std::size_t k = 0; k < opts.max_iterations; ++k) {
@@ -438,8 +379,7 @@ SolveResult bicgstab(const MatVec& a, std::span<const double> b,
     if (snorm <= stop) {
       axpy<double>(alpha, p, x);
       res.iterations = k + 1;
-      record(res, opts, snorm, bnorm);
-      res.converged = true;
+      record_exit(res, opts, snorm, bnorm, stop);  // converged
       return res;
     }
     a(s, t);
@@ -455,11 +395,7 @@ SolveResult bicgstab(const MatVec& a, std::span<const double> b,
     for (std::size_t i = 0; i < n; ++i) r[i] = s[i] - omega * t[i];
     const double rnorm = norm2(r);
     res.iterations = k + 1;
-    record(res, opts, rnorm, bnorm);
-    if (rnorm <= stop) {
-      res.converged = true;
-      return res;
-    }
+    if (record_exit(res, opts, rnorm, bnorm, stop)) return res;
     rho_old = rho;
   }
   return res;
@@ -486,11 +422,7 @@ SolveResult bicgstab_fused(const MatVec& a, std::span<const double> b,
   // (rt = r here, but the distributed solver fuses them regardless).
   const double rr0 = dot_local<double>(r, r);
   double rho = dot_local<double>(rt, r);
-  record(res, opts, std::sqrt(rr0), bnorm);
-  if (std::sqrt(rr0) <= stop) {
-    res.converged = true;
-    return res;
-  }
+  if (record_exit(res, opts, std::sqrt(rr0), bnorm, stop)) return res;
 
   double rho_old = 1.0, alpha = 1.0, omega = 1.0;
   for (std::size_t k = 0; k < opts.max_iterations; ++k) {
@@ -523,8 +455,7 @@ SolveResult bicgstab_fused(const MatVec& a, std::span<const double> b,
     if (snorm <= stop) {
       axpy<double>(alpha, p, x);
       res.iterations = k + 1;
-      record(res, opts, snorm, bnorm);
-      res.converged = true;
+      record_exit(res, opts, snorm, bnorm, stop);  // converged
       return res;
     }
     if (tt == 0.0) {
@@ -540,11 +471,7 @@ SolveResult bicgstab_fused(const MatVec& a, std::span<const double> b,
     const double rtr = dot_local<double>(rt, r);
     const double rnorm = std::sqrt(rr);
     res.iterations = k + 1;
-    record(res, opts, rnorm, bnorm);
-    if (rnorm <= stop) {
-      res.converged = true;
-      return res;
-    }
+    if (record_exit(res, opts, rnorm, bnorm, stop)) return res;
     rho_old = rho;
     rho = rtr;
   }

@@ -10,31 +10,45 @@ namespace hpfcg::solvers {
 
 namespace {
 
-double residual_norm(const sparse::Csr<double>& a, std::span<const double> x,
-                     std::span<const double> b, std::span<double> scratch) {
-  a.matvec(x, scratch);
+/// ||b - A x||_2, leaving A x in `ax`.
+double residual_norm(const MatVec& a, std::span<const double> x,
+                     std::span<const double> b, std::span<double> ax) {
+  a(x, ax);
   double acc = 0.0;
   for (std::size_t i = 0; i < b.size(); ++i) {
-    const double d = b[i] - scratch[i];
+    const double d = b[i] - ax[i];
     acc += d * d;
   }
   return std::sqrt(acc);
 }
 
+MatVec wrap(const sparse::Csr<double>& a) {
+  return [&a](std::span<const double> x, std::span<double> y) {
+    a.matvec(x, y);
+  };
+}
+
+/// A's diagonal, the divisor of every update: a zero entry is named by row.
+std::vector<double> nonzero_diagonal(const sparse::Csr<double>& a,
+                                     const char* who) {
+  auto diag = a.diagonal();
+  for (std::size_t i = 0; i < diag.size(); ++i) {
+    HPFCG_REQUIRE(diag[i] != 0.0, std::string(who) +
+                                      ": zero diagonal entry in row " +
+                                      std::to_string(i));
+  }
+  return diag;
+}
+
 }  // namespace
 
-SolveResult jacobi_iteration(const sparse::Csr<double>& a,
+SolveResult jacobi_iteration(const MatVec& a, std::span<const double> diag,
                              std::span<const double> b, std::span<double> x,
                              const SolveOptions& opts) {
-  HPFCG_REQUIRE(b.size() == x.size(), "jacobi_iteration: dimension mismatch");
+  HPFCG_REQUIRE(b.size() == x.size() && diag.size() == b.size(),
+                "jacobi_iteration: dimension mismatch");
   const std::size_t n = b.size();
   SolveResult res;
-  const auto diag = a.diagonal();
-  for (std::size_t i = 0; i < diag.size(); ++i) {
-    HPFCG_REQUIRE(diag[i] != 0.0,
-                  "jacobi_iteration: zero diagonal entry in row " +
-                      std::to_string(i));
-  }
   double bnorm = 0.0;
   for (const double v : b) bnorm += v * v;
   bnorm = std::sqrt(bnorm);
@@ -44,16 +58,18 @@ SolveResult jacobi_iteration(const sparse::Csr<double>& a,
   for (std::size_t k = 0; k < opts.max_iterations; ++k) {
     const double rnorm = residual_norm(a, x, b, q);
     res.iterations = k;
-    res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
-    if (opts.track_residuals) res.residual_history.push_back(rnorm);
-    if (rnorm <= stop) {
-      res.converged = true;
-      return res;
-    }
+    if (detail::record_exit(res, opts, rnorm, bnorm, stop)) return res;
     // q currently holds A x; x_i += (b_i - (Ax)_i) / d_i.
     for (std::size_t i = 0; i < n; ++i) x[i] += (b[i] - q[i]) / diag[i];
   }
   return res;
+}
+
+SolveResult jacobi_iteration(const sparse::Csr<double>& a,
+                             std::span<const double> b, std::span<double> x,
+                             const SolveOptions& opts) {
+  return jacobi_iteration(wrap(a), nonzero_diagonal(a, "jacobi_iteration"), b,
+                          x, opts);
 }
 
 SolveResult sor_iteration(const sparse::Csr<double>& a,
@@ -63,12 +79,8 @@ SolveResult sor_iteration(const sparse::Csr<double>& a,
   HPFCG_REQUIRE(omega > 0.0 && omega < 2.0, "sor: omega must be in (0,2)");
   const std::size_t n = b.size();
   SolveResult res;
-  const auto diag = a.diagonal();
-  for (std::size_t i = 0; i < diag.size(); ++i) {
-    HPFCG_REQUIRE(diag[i] != 0.0,
-                  "sor_iteration: zero diagonal entry in row " +
-                      std::to_string(i));
-  }
+  const auto diag = nonzero_diagonal(a, "sor_iteration");
+  const MatVec op = wrap(a);
   double bnorm = 0.0;
   for (const double v : b) bnorm += v * v;
   bnorm = std::sqrt(bnorm);
@@ -76,14 +88,9 @@ SolveResult sor_iteration(const sparse::Csr<double>& a,
 
   std::vector<double> scratch(n);
   for (std::size_t k = 0; k < opts.max_iterations; ++k) {
-    const double rnorm = residual_norm(a, x, b, scratch);
+    const double rnorm = residual_norm(op, x, b, scratch);
     res.iterations = k;
-    res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
-    if (opts.track_residuals) res.residual_history.push_back(rnorm);
-    if (rnorm <= stop) {
-      res.converged = true;
-      return res;
-    }
+    if (detail::record_exit(res, opts, rnorm, bnorm, stop)) return res;
     // In-place forward sweep — each unknown uses already-updated
     // predecessors: the Scenario-2-style sequential dependency.
     for (std::size_t i = 0; i < n; ++i) {

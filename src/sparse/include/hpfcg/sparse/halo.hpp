@@ -53,14 +53,16 @@
 #include "hpfcg/msg/process.hpp"
 #include "hpfcg/trace/span.hpp"
 #include "hpfcg/util/error.hpp"
+#include "hpfcg/util/knob.hpp"
 
 namespace hpfcg::sparse {
 
 namespace halo {
 
 /// Runtime switch for the halo executor, sampled by each DistCsr at its
-/// first sweep: env HPFCG_HALO (default ON; 0|off|false selects the legacy
-/// O(n) gather for A/B comparisons) or programmatic set_enabled().
+/// first sweep: env HPFCG_HALO (a util::Knob, default ON; any value that is
+/// not an on-spelling selects the legacy O(n) gather for A/B comparisons)
+/// or programmatic set_enabled().
 [[nodiscard]] bool enabled();
 void set_enabled(bool on);
 
@@ -72,16 +74,7 @@ void set_enabled(bool on);
 void warn_fallback_once();
 
 /// RAII enable/disable for tests and benches: restores the previous state.
-class ScopedEnable {
- public:
-  explicit ScopedEnable(bool on = true) : prev_(enabled()) { set_enabled(on); }
-  ScopedEnable(const ScopedEnable&) = delete;
-  ScopedEnable& operator=(const ScopedEnable&) = delete;
-  ~ScopedEnable() { set_enabled(prev_); }
-
- private:
-  bool prev_;
-};
+using ScopedEnable = util::ScopedOverride<enabled, set_enabled, true>;
 
 }  // namespace halo
 

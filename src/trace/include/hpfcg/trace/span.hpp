@@ -64,12 +64,25 @@ enum class SpanKind : std::uint8_t {
 /// Human-readable span kind (stable names; used by the Chrome exporter).
 [[nodiscard]] const char* span_kind_name(SpanKind k);
 
+/// Binomial-tree passes one span of kind `k` makes: 2 for the all-reduces
+/// (up to rank 0, then back down), 1 for reduce- and broadcast-class
+/// collectives, 0 for everything that does not walk the tree.
+[[nodiscard]] constexpr int tree_passes(SpanKind k) {
+  switch (k) {
+    case SpanKind::kAllreduceVec:
+    case SpanKind::kAllreduceBatch:
+    case SpanKind::kReproMerge: return 2;
+    case SpanKind::kBroadcast:
+    case SpanKind::kReduce:
+    case SpanKind::kReduceBatch: return 1;
+    default: return 0;
+  }
+}
+
 /// True for the reduction/broadcast tree collectives whose cost the paper
 /// models as t_startup·depth + t_comm·bytes per tree pass.
 [[nodiscard]] constexpr bool is_tree_collective(SpanKind k) {
-  return k == SpanKind::kBroadcast || k == SpanKind::kReduce ||
-         k == SpanKind::kAllreduceVec || k == SpanKind::kAllreduceBatch ||
-         k == SpanKind::kReduceBatch || k == SpanKind::kReproMerge;
+  return tree_passes(k) > 0;
 }
 
 /// How an Envelope's payload was stored (Span::aux for kSend/kRecv).

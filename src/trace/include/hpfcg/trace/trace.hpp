@@ -22,11 +22,13 @@
 // Enablement is two-level:
 //   compile time — CMake option HPFCG_TRACE (ON by default) defines
 //     HPFCG_TRACE_ENABLED; OFF removes every hook from the binary;
-//   run time — environment variable HPFCG_TRACE=1|on|true (sampled once),
+//   run time — environment variable HPFCG_TRACE (a util::Knob, read once),
 //     or programmatic set_enabled() (tests, benches).  A msg::Runtime
 //     samples the flag at construction, like the check harness.
 
 #include <cstddef>
+
+#include "hpfcg/util/knob.hpp"
 
 namespace hpfcg::trace {
 
@@ -55,15 +57,6 @@ inline void set_ring_capacity(std::size_t) {}
 #endif
 
 /// RAII enable/disable for tests: restores the previous state on scope exit.
-class ScopedEnable {
- public:
-  explicit ScopedEnable(bool on = true) : prev_(enabled()) { set_enabled(on); }
-  ScopedEnable(const ScopedEnable&) = delete;
-  ScopedEnable& operator=(const ScopedEnable&) = delete;
-  ~ScopedEnable() { set_enabled(prev_); }
-
- private:
-  bool prev_;
-};
+using ScopedEnable = util::ScopedOverride<enabled, set_enabled, true>;
 
 }  // namespace hpfcg::trace

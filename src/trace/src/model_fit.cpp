@@ -76,16 +76,10 @@ std::vector<FitSample> tree_collective_samples(const RankTrace& trace) {
   std::vector<FitSample> out;
   for (const Span& s : trace.spans()) {
     if (!is_tree_collective(s.kind)) continue;
-    // Allreduce-class collectives walk the tree up AND down; reduce- and
-    // broadcast-class spans walk it once.  The measuring rank (use rank 0)
-    // sees `depth` message events per pass, each moving the span's
-    // payload.
-    const double passes = (s.kind == SpanKind::kAllreduceVec ||
-                           s.kind == SpanKind::kAllreduceBatch)
-                              ? 2.0
-                              : 1.0;
+    // The measuring rank (use rank 0) sees `depth` message events per tree
+    // pass, each moving the span's payload.
     FitSample f;
-    f.startups = passes * static_cast<double>(s.depth);
+    f.startups = tree_passes(s.kind) * static_cast<double>(s.depth);
     f.bytes = f.startups * static_cast<double>(s.bytes);
     f.seconds = s.seconds();
     out.push_back(f);

@@ -2,53 +2,24 @@
 
 #ifdef HPFCG_TRACE_ENABLED
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
+#include <algorithm>
+
+#include "hpfcg/util/knob.hpp"
 
 namespace hpfcg::trace {
 
 namespace {
-
-bool env_truthy(const char* name, bool fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
-  return std::strcmp(v, "1") == 0 || std::strcmp(v, "on") == 0 ||
-         std::strcmp(v, "ON") == 0 || std::strcmp(v, "true") == 0 ||
-         std::strcmp(v, "TRUE") == 0 || std::strcmp(v, "yes") == 0;
-}
-
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{env_truthy("HPFCG_TRACE", false)};
-  return flag;
-}
-
-std::atomic<std::size_t>& capacity_flag() {
-  static std::atomic<std::size_t> cap{[] {
-    const char* v = std::getenv("HPFCG_TRACE_CAPACITY");
-    if (v != nullptr) {
-      const long long parsed = std::atoll(v);
-      if (parsed > 0) return static_cast<std::size_t>(parsed);
-    }
-    return static_cast<std::size_t>(1) << 16;
-  }()};
-  return cap;
-}
-
+constinit util::Knob<bool> g_enabled{"HPFCG_TRACE", false};
+constinit util::Knob<std::size_t> g_capacity{"HPFCG_TRACE_CAPACITY",
+                                             std::size_t{1} << 16};
 }  // namespace
 
-bool enabled() { return enabled_flag().load(std::memory_order_relaxed); }
+bool enabled() { return g_enabled.get(); }
+void set_enabled(bool on) { g_enabled.set(on); }
 
-void set_enabled(bool on) {
-  enabled_flag().store(on, std::memory_order_relaxed);
-}
-
-std::size_t ring_capacity() {
-  return capacity_flag().load(std::memory_order_relaxed);
-}
-
+std::size_t ring_capacity() { return g_capacity.get(); }
 void set_ring_capacity(std::size_t spans) {
-  capacity_flag().store(spans > 0 ? spans : 1, std::memory_order_relaxed);
+  g_capacity.set(std::max<std::size_t>(spans, 1));
 }
 
 }  // namespace hpfcg::trace

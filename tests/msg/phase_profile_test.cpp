@@ -1,4 +1,5 @@
-// PhaseProfile: Stats deltas must land in the right named phases.
+// PhaseProfile: Stats deltas must land in the right named phases.  Also the
+// one Stats identity predicate the side-channel gates share.
 
 #include <gtest/gtest.h>
 
@@ -103,6 +104,27 @@ TEST(PhaseProfile, HaloMatvecPhaseReportsHaloTraffic) {
     Stats::for_each_field([&](auto field) {
       EXPECT_EQ(got.*field, after.*field - before.*field);
     });
+  });
+}
+
+TEST(StatsIdentity, ComparesEveryCounterButTheEnvelopeSplit) {
+  Stats a;
+  a.messages_sent = 7;
+  a.envelopes_pooled = 3;
+  a.envelopes_heap = 1;
+  a.modeled_wait_seconds = 0.25;
+  Stats b = a;
+  EXPECT_TRUE(hpfcg::msg::counters_identical(a, b));
+  // Only the pooled + heap sum is deterministic.
+  b.envelopes_pooled = 0;
+  b.envelopes_heap = 4;
+  EXPECT_TRUE(hpfcg::msg::counters_identical(a, b));
+  // Any one counter moving breaks identity, halo, multigrid and repro ones
+  // included (moving one envelope path moves the sum too).
+  Stats::for_each_field([&](auto field) {
+    Stats c = a;
+    c.*field += 1;
+    EXPECT_FALSE(hpfcg::msg::counters_identical(a, c));
   });
 }
 

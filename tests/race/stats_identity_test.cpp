@@ -28,32 +28,8 @@ using hpfcg::hpf::Distribution;
 using hpfcg::hpf::DistributedVector;
 using hpfcg::msg::Process;
 using hpfcg::msg::Runtime;
-using hpfcg::msg::Stats;
 
 namespace {
-
-/// Assert per-rank Stats equality, field by field.  The pooled/heap split
-/// depends on thread scheduling (whether a recycle beat the next draw), so
-/// only its sum is compared; everything else must match exactly — modeled
-/// doubles included, since both runs execute the same arithmetic.
-void expect_identical(const Stats& off, const Stats& on, int rank) {
-  SCOPED_TRACE("rank " + std::to_string(rank));
-  EXPECT_EQ(off.messages_sent, on.messages_sent);
-  EXPECT_EQ(off.messages_received, on.messages_received);
-  EXPECT_EQ(off.bytes_sent, on.bytes_sent);
-  EXPECT_EQ(off.bytes_received, on.bytes_received);
-  EXPECT_EQ(off.flops, on.flops);
-  EXPECT_EQ(off.barriers, on.barriers);
-  EXPECT_EQ(off.collectives, on.collectives);
-  EXPECT_EQ(off.reductions, on.reductions);
-  EXPECT_EQ(off.reduction_values, on.reduction_values);
-  EXPECT_EQ(off.envelopes_inline, on.envelopes_inline);
-  EXPECT_EQ(off.envelopes_pooled + off.envelopes_heap,
-            on.envelopes_pooled + on.envelopes_heap);
-  EXPECT_EQ(off.modeled_comm_seconds, on.modeled_comm_seconds);
-  EXPECT_EQ(off.modeled_compute_seconds, on.modeled_compute_seconds);
-  EXPECT_EQ(off.modeled_wait_seconds, on.modeled_wait_seconds);
-}
 
 /// Run `body` twice — detection off, then on — and compare per-rank Stats.
 void compare_runs(int np, const std::function<void(Process&)>& body) {
@@ -72,7 +48,8 @@ void compare_runs(int np, const std::function<void(Process&)>& body) {
     ASSERT_NE(on->racer(), nullptr);
   }
   for (int r = 0; r < np; ++r) {
-    expect_identical(off->stats(r), on->stats(r), r);
+    EXPECT_TRUE(hpfcg::msg::counters_identical(off->stats(r), on->stats(r)))
+        << "rank " << r;
   }
 }
 

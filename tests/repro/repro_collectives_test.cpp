@@ -177,7 +177,8 @@ TEST_P(ReproCollectivesTest, RuntimeSamplesTheFlagAtConstruction) {
 TEST_P(ReproCollectivesTest, CollScratchAllocatesOncePerProcess) {
   // Satellite regression: allreduce_vec used to allocate a fresh n-element
   // vector at EVERY tree level of EVERY call; the scratch is now hoisted
-  // into the Process and must grow at most once for a fixed payload size.
+  // into the Process, shared with the batch reductions, and must grow at
+  // most once for a fixed payload size.
   const int np = GetParam();
   constexpr std::size_t kN = 513;
   constexpr int kCalls = 20;
@@ -191,9 +192,12 @@ TEST_P(ReproCollectivesTest, CollScratchAllocatesOncePerProcess) {
           buf[i] = contribution(p.rank(), i + static_cast<std::size_t>(c));
         }
         p.allreduce_vec(buf);
-        // Smaller payloads must reuse the same buffer, never re-grow.
+        // Smaller payloads must reuse the same buffer, never re-grow —
+        // the batch reductions' tree levels included.
         std::vector<double> small(kN / 4, 1.0);
         p.allreduce_vec(small);
+        p.allreduce_batch(std::span<double>(small).first(3));
+        p.reduce_batch(0, std::span<double>(small).first(5));
       }
       allocs[static_cast<std::size_t>(p.rank())] =
           p.coll_scratch_allocations();

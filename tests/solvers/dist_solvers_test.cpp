@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "hpfcg/solvers/dist_solvers.hpp"
 #include "hpfcg/solvers/preconditioner.hpp"
 #include "hpfcg/solvers/serial.hpp"
+#include "hpfcg/solvers/stationary.hpp"
 #include "hpfcg/sparse/convert.hpp"
 #include "hpfcg/sparse/dist_csc.hpp"
 #include "hpfcg/sparse/dist_csr.hpp"
@@ -269,13 +273,49 @@ TEST_P(DistSolversTest, BicgCostsMoreCommunicationThanCg) {
 INSTANTIATE_TEST_SUITE_P(MachineSizes, DistSolversTest,
                          ::testing::ValuesIn(test_machine_sizes()));
 
-// ---- non-finite exit -------------------------------------------------------
+// ---- non-finite and indefinite exits -------------------------------------
+
+/// Machine column of the exit tests: kSerial runs the serial solver, any
+/// other value the distributed one on that many ranks.
+constexpr int kSerial = 0;
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// Runs the serial solver named `solver` over `op` (and `op_t` for BiCG),
+/// with the identity as the PCG preconditioner and `diag` for Jacobi.
+sv::SolveResult run_named_serial(const std::string& solver,
+                                 const sv::MatVec& op, const sv::MatVec& op_t,
+                                 std::span<const double> diag,
+                                 std::span<const double> b,
+                                 std::span<double> x,
+                                 const sv::SolveOptions& opts) {
+  const sv::PrecApply identity = [](std::span<const double> r,
+                                    std::span<double> z) {
+    std::copy(r.begin(), r.end(), z.begin());
+  };
+  if (solver == "cg") return sv::cg(op, b, x, opts);
+  if (solver == "cg_fused") return sv::cg_fused(op, b, x, opts);
+  if (solver == "pcg") return sv::pcg(op, identity, b, x, opts);
+  if (solver == "pcg_fused") return sv::pcg_fused(op, identity, b, x, opts);
+  if (solver == "bicg") return sv::bicg(op, op_t, b, x, opts);
+  if (solver == "bicgstab") return sv::bicgstab(op, b, x, opts);
+  if (solver == "bicgstab_fused") return sv::bicgstab_fused(op, b, x, opts);
+  if (solver == "cgs") return sv::cgs(op, b, x, opts);
+  if (solver == "jacobi") return sv::jacobi_iteration(op, diag, b, x, opts);
+  if (solver == "gmres") {
+    return sv::gmres(op, b, x, {.base = opts, .restart = 10});
+  }
+  ADD_FAILURE() << "unknown solver " << solver;
+  return {};
+}
 
 /// Runs the distributed solver named `solver` over `op` (and `op_t` for
-/// BiCG), with the identity as the PCG preconditioner.
+/// BiCG), with the identity as the PCG preconditioner and `inv_diag` for
+/// Jacobi.
 sv::SolveResult run_named_solver(const std::string& solver,
                                  const sv::DistOp<double>& op,
                                  const sv::DistOp<double>& op_t,
+                                 const DistributedVector<double>& inv_diag,
                                  const DistributedVector<double>& b,
                                  DistributedVector<double>& x,
                                  const sv::SolveOptions& opts) {
@@ -295,6 +335,9 @@ sv::SolveResult run_named_solver(const std::string& solver,
     return sv::bicgstab_fused_dist<double>(op, b, x, opts);
   }
   if (solver == "cgs") return sv::cgs_dist<double>(op, b, x, opts);
+  if (solver == "jacobi") {
+    return sv::jacobi_iteration_dist<double>(op, inv_diag, b, x, opts);
+  }
   if (solver == "gmres") {
     return sv::gmres_dist<double>(op, b, x, {.base = opts, .restart = 10});
   }
@@ -302,50 +345,46 @@ sv::SolveResult run_named_solver(const std::string& solver,
   return {};
 }
 
-class NonFiniteExitTest
-    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
-
-TEST_P(NonFiniteExitTest, NanInRhsStopsBeforeTheFirstIteration) {
-  const auto& [solver, np] = GetParam();
-  const auto a = sp::laplacian_2d(6, 6);
-  auto b_full = sp::random_rhs(a.n_rows(), 17);
-  b_full[a.n_rows() / 2] = std::numeric_limits<double>::quiet_NaN();
+/// Solves A x = b from x = 0 with the named solver on machine column `np`
+/// (200 iterations at most).  From its `poison_from`-th call on (0: never),
+/// the operator — A and A^T share the count — returns NaN in one entry.
+/// `check` sees every rank's result and the gathered solution.
+void solve_named(
+    const std::string& solver, int np, const sp::Csr<double>& a,
+    const std::vector<double>& b_full, int poison_from,
+    const std::function<void(const sv::SolveResult&,
+                             const std::vector<double>&)>& check) {
+  const sv::SolveOptions opts{.max_iterations = 200};
+  const auto diag = a.diagonal();
+  if (np == kSerial) {
+    int calls = 0;
+    const auto poison = [&](std::span<double> q) {
+      if (poison_from > 0 && ++calls >= poison_from) q[0] = kNaN;
+    };
+    const sv::MatVec op = [&](std::span<const double> p, std::span<double> q) {
+      a.matvec(p, q);
+      poison(q);
+    };
+    const sv::MatVec op_t = [&](std::span<const double> p,
+                                std::span<double> q) {
+      a.matvec_transpose(p, q);
+      poison(q);
+    };
+    std::vector<double> x(a.n_rows(), 0.0);
+    const auto res = run_named_serial(solver, op, op_t, diag, b_full, x, opts);
+    check(res, x);
+    return;
+  }
   run_spmd(np, [&](Process& proc) {
     auto dist = share(Distribution::block(a.n_rows(), proc.nprocs()));
     auto mat = sp::DistCsr<double>::row_aligned(proc, a, dist);
-    DistributedVector<double> b(proc, dist), x(proc, dist);
+    DistributedVector<double> b(proc, dist), x(proc, dist), inv_diag(proc, dist);
     b.from_global(b_full);
-    const sv::DistOp<double> op = [&](const DistributedVector<double>& p,
-                                      DistributedVector<double>& q) {
-      mat.matvec(p, q);
-    };
-    const sv::DistOp<double> op_t = [&](const DistributedVector<double>& p,
-                                        DistributedVector<double>& q) {
-      mat.matvec_transpose(p, q);
-    };
-    const auto res = run_named_solver(solver, op, op_t, b, x,
-                                      {.max_iterations = 200});
-    EXPECT_TRUE(res.breakdown);
-    EXPECT_FALSE(res.converged);
-    EXPECT_EQ(res.iterations, 0u);
-  });
-}
-
-TEST_P(NonFiniteExitTest, NanFromTheOperatorStopsTheLoop) {
-  // The operator turns one output entry into NaN from its 4th call on, so
-  // the NaN first shows in a residual norm computed inside the loop.
-  const auto& [solver, np] = GetParam();
-  const auto a = sp::laplacian_2d(6, 6);
-  const auto b_full = sp::random_rhs(a.n_rows(), 19);
-  run_spmd(np, [&](Process& proc) {
-    auto dist = share(Distribution::block(a.n_rows(), proc.nprocs()));
-    auto mat = sp::DistCsr<double>::row_aligned(proc, a, dist);
-    DistributedVector<double> b(proc, dist), x(proc, dist);
-    b.from_global(b_full);
+    inv_diag.set_from([&](std::size_t g) { return 1.0 / diag[g]; });
     int calls = 0;
     const auto poison = [&](DistributedVector<double>& q) {
-      if (++calls >= 4 && proc.rank() == 0) {
-        q.local()[0] = std::numeric_limits<double>::quiet_NaN();
+      if (poison_from > 0 && ++calls >= poison_from && proc.rank() == 0) {
+        q.local()[0] = kNaN;
       }
     };
     const sv::DistOp<double> op = [&](const DistributedVector<double>& p,
@@ -358,25 +397,94 @@ TEST_P(NonFiniteExitTest, NanFromTheOperatorStopsTheLoop) {
       mat.matvec_transpose(p, q);
       poison(q);
     };
-    const auto res = run_named_solver(solver, op, op_t, b, x,
-                                      {.max_iterations = 200});
-    EXPECT_TRUE(res.breakdown);
-    EXPECT_FALSE(res.converged);
-    EXPECT_GE(res.iterations, 1u);
-    EXPECT_LE(res.iterations, 4u);
+    const auto res = run_named_solver(solver, op, op_t, inv_diag, b, x, opts);
+    check(res, x.to_global());
   });
+}
+
+using ExitCase = std::tuple<std::string, int>;
+
+std::string exit_case_name(const ::testing::TestParamInfo<ExitCase>& info) {
+  const auto& [solver, np] = info.param;
+  return solver + "_" + (np == kSerial ? "serial" : "np" + std::to_string(np));
+}
+
+class NonFiniteExitTest : public ::testing::TestWithParam<ExitCase> {};
+
+TEST_P(NonFiniteExitTest, NanInRhsStopsBeforeTheFirstIteration) {
+  const auto& [solver, np] = GetParam();
+  const auto a = sp::laplacian_2d(6, 6);
+  auto b_full = sp::random_rhs(a.n_rows(), 17);
+  b_full[a.n_rows() / 2] = kNaN;
+  solve_named(solver, np, a, b_full, /*poison_from=*/0,
+              [](const sv::SolveResult& res, const std::vector<double>&) {
+                EXPECT_TRUE(res.breakdown);
+                EXPECT_FALSE(res.converged);
+                EXPECT_EQ(res.iterations, 0u);
+              });
+}
+
+TEST_P(NonFiniteExitTest, NanFromTheOperatorStopsTheLoop) {
+  // The operator turns one output entry into NaN from its 4th call on, so
+  // the NaN first shows in a residual norm computed inside the loop.
+  const auto& [solver, np] = GetParam();
+  const auto a = sp::laplacian_2d(6, 6);
+  const auto b_full = sp::random_rhs(a.n_rows(), 19);
+  solve_named(solver, np, a, b_full, /*poison_from=*/4,
+              [](const sv::SolveResult& res, const std::vector<double>&) {
+                EXPECT_TRUE(res.breakdown);
+                EXPECT_FALSE(res.converged);
+                EXPECT_GE(res.iterations, 1u);
+                EXPECT_LE(res.iterations, 4u);
+              });
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Solvers, NonFiniteExitTest,
     ::testing::Combine(::testing::Values("cg", "cg_fused", "pcg", "pcg_fused",
                                          "bicg", "bicgstab", "bicgstab_fused",
+                                         "cgs", "gmres", "jacobi"),
+                       ::testing::Values(kSerial, 1, 4)),
+    exit_case_name);
+
+class IndefiniteExitTest : public ::testing::TestWithParam<ExitCase> {};
+
+TEST_P(IndefiniteExitTest, ZeroCurvatureStopsBeforeTheFirstIteration) {
+  // A = diag(+1, -1, ...) and b = ones: (r, A r) sums +1 and -1 in equal
+  // number, exactly 0 in any summation order, so every CG-family
+  // recurrence divides by zero on its first step.  It must report
+  // breakdown at iteration 0 and leave x = 0 untouched.
+  const auto& [solver, np] = GetParam();
+  std::vector<double> dense(64, 0.0);
+  for (std::size_t i = 0; i < 8; ++i) dense[i * 9] = i % 2 == 0 ? 1.0 : -1.0;
+  const auto a = sp::Csr<double>::from_dense(8, 8, dense);
+  const std::vector<double> b_full(8, 1.0);
+  solve_named(solver, np, a, b_full, /*poison_from=*/0,
+              [&](const sv::SolveResult& res, const std::vector<double>& x) {
+                if (solver == "gmres") {
+                  // Two distinct eigenvalues: exact after two steps, and
+                  // x = A^-1 b = A b.
+                  EXPECT_TRUE(res.converged);
+                  EXPECT_EQ(res.iterations, 2u);
+                  for (std::size_t i = 0; i < x.size(); ++i) {
+                    EXPECT_NEAR(x[i], dense[i * 9], 1e-12);
+                  }
+                  return;
+                }
+                EXPECT_TRUE(res.breakdown);
+                EXPECT_FALSE(res.converged);
+                EXPECT_EQ(res.iterations, 0u);
+                for (const double xi : x) EXPECT_EQ(xi, 0.0);
+              });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Solvers, IndefiniteExitTest,
+    ::testing::Combine(::testing::Values("cg", "cg_fused", "pcg", "pcg_fused",
+                                         "bicg", "bicgstab", "bicgstab_fused",
                                          "cgs", "gmres"),
-                       ::testing::Values(1, 4)),
-    [](const auto& info) {
-      return std::get<0>(info.param) + "_np" +
-             std::to_string(std::get<1>(info.param));
-    });
+                       ::testing::Values(kSerial, 1, 4)),
+    exit_case_name);
 
 TEST(ZeroRhs, SerialAndDistAgreeOnAbsoluteResidualBranch) {
   // b = 0 switches the stopping rule to an ABSOLUTE residual (the

@@ -159,6 +159,17 @@ TEST(ModelFit, TreeCollectiveSamplesCountPassesPerClass) {
   EXPECT_DOUBLE_EQ(samples[2].bytes, 2.0 * 80.0);
 }
 
+TEST(ModelFit, ReproMergeCountsBothTreePasses) {
+  // allreduce_acc walks the tree up to rank 0 and back down, like every
+  // other all-reduce, so its span pays 2·depth start-ups.
+  trace::RankTrace t(4, std::chrono::steady_clock::now());
+  t.record(tree_span(trace::SpanKind::kReproMerge, 3, 560, 7000));
+  const auto samples = trace::tree_collective_samples(t);
+  ASSERT_EQ(samples.size(), 1u);
+  EXPECT_DOUBLE_EQ(samples[0].startups, 6.0);
+  EXPECT_DOUBLE_EQ(samples[0].bytes, 6.0 * 560.0);
+}
+
 TEST(ModelFit, FitFromDerivedSamplesRoundTrips) {
   // Build spans whose durations follow the model exactly, derive samples,
   // fit, and check the parameters come back.

@@ -124,6 +124,9 @@ TEST(SpanKinds, NamesAreStableAndTreePredicateMatches) {
   EXPECT_FALSE(trace::is_tree_collective(trace::SpanKind::kSend));
   EXPECT_FALSE(trace::is_tree_collective(trace::SpanKind::kBarrier));
   EXPECT_FALSE(trace::is_tree_collective(trace::SpanKind::kIteration));
+  EXPECT_EQ(trace::tree_passes(trace::SpanKind::kAllreduceVec), 2);
+  EXPECT_EQ(trace::tree_passes(trace::SpanKind::kReduceBatch), 1);
+  EXPECT_EQ(trace::tree_passes(trace::SpanKind::kAllgatherv), 0);
 }
 
 }  // namespace

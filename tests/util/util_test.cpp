@@ -1,14 +1,20 @@
 // Utility layer: RNG determinism, span kernels, table formatting, string
-// helpers, CLI parsing, error machinery.
+// helpers, CLI parsing, error machinery, environment knobs.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <sstream>
 #include <vector>
 
+#include "hpfcg/check/check.hpp"
+#include "hpfcg/race/race.hpp"
+#include "hpfcg/trace/trace.hpp"
 #include "hpfcg/util/cli.hpp"
 #include "hpfcg/util/error.hpp"
+#include "hpfcg/util/knob.hpp"
 #include "hpfcg/util/rng.hpp"
 #include "hpfcg/util/span_math.hpp"
 #include "hpfcg/util/str.hpp"
@@ -164,6 +170,105 @@ TEST(Timer, MeasuresElapsedTime) {
   EXPECT_GT(t.micros(), t.seconds());  // unit sanity
   t.reset();
   EXPECT_LT(t.seconds(), 1.0);
+}
+
+// ---- environment knobs -----------------------------------------------------
+
+constexpr const char* kTestVar = "HPFCG_UTIL_TEST_KNOB";
+
+TEST(Knob, AcceptsExactlyTheSixOnSpellings) {
+  for (const char* on : {"1", "on", "ON", "true", "TRUE", "yes"}) {
+    ::setenv(kTestVar, on, 1);
+    u::Knob<bool> knob{kTestVar, false};
+    EXPECT_TRUE(knob.get()) << on;
+  }
+  for (const char* off : {"0", "off", "false", "no", "YES", "True", "2", "",
+                          "banana"}) {
+    ::setenv(kTestVar, off, 1);
+    u::Knob<bool> knob{kTestVar, true};
+    EXPECT_FALSE(knob.get()) << '"' << off << '"';
+  }
+  ::unsetenv(kTestVar);
+}
+
+TEST(Knob, UnsetVariableKeepsTheDefault) {
+  ::unsetenv(kTestVar);
+  u::Knob<bool> off{kTestVar, false};
+  u::Knob<bool> on{kTestVar, true};
+  u::Knob<std::int64_t> count{kTestVar, 42};
+  EXPECT_FALSE(off.get());
+  EXPECT_TRUE(on.get());
+  EXPECT_EQ(count.get(), 42);
+}
+
+TEST(Knob, ReadsTheEnvironmentOnceAndSetOverrides) {
+  ::setenv(kTestVar, "yes", 1);
+  u::Knob<bool> knob{kTestVar, false};
+  EXPECT_TRUE(knob.get());
+  ::setenv(kTestVar, "0", 1);
+  EXPECT_TRUE(knob.get());  // parsed once
+  knob.set(false);
+  EXPECT_FALSE(knob.get());
+
+  // A set() before the first get() is not undone by the deferred parse.
+  ::setenv(kTestVar, "250", 1);
+  u::Knob<std::uint64_t> early{kTestVar, 7};
+  early.set(9);
+  EXPECT_EQ(early.get(), 9u);
+  ::unsetenv(kTestVar);
+}
+
+TEST(Knob, IntegerTakesOnlyAPositiveDecimalNumber) {
+  ::setenv(kTestVar, "250", 1);
+  EXPECT_EQ((u::Knob<std::int64_t>{kTestVar, 5}.get()), 250);
+  EXPECT_EQ((u::Knob<std::size_t>{kTestVar, 5}.get()), 250u);
+  for (const char* bad : {"0", "-3", "", "abc", " 7", "99999999999999999999"}) {
+    ::setenv(kTestVar, bad, 1);
+    EXPECT_EQ((u::Knob<std::int64_t>{kTestVar, 5}.get()), 5) << bad;
+    EXPECT_EQ((u::Knob<std::size_t>{kTestVar, 5}.get()), 5u) << bad;
+    EXPECT_EQ((u::Knob<std::uint64_t>{kTestVar, 0}.get()), 0u) << bad;
+  }
+  ::unsetenv(kTestVar);
+}
+
+TEST(Knob, EachIntegerKnobFallsBackToItsDefault) {
+  // Nothing else in this binary reads these knobs, so this is their one
+  // parse: a value that is not a positive number keeps the default.
+  ::setenv("HPFCG_CHECK_TIMEOUT_MS", "-5", 1);
+  ::setenv("HPFCG_TRACE_CAPACITY", "0", 1);
+  ::setenv("HPFCG_RACE_SEED", "banana", 1);
+  if constexpr (hpfcg::check::kCompiled) {
+    EXPECT_EQ(hpfcg::check::watchdog_timeout_ms(), 20000);
+  }
+  if constexpr (hpfcg::trace::kCompiled) {
+    EXPECT_EQ(hpfcg::trace::ring_capacity(), std::size_t{1} << 16);
+  }
+  if constexpr (hpfcg::race::kCompiled) {
+    EXPECT_EQ(hpfcg::race::replay_seed(), 0u);
+  }
+  ::unsetenv("HPFCG_CHECK_TIMEOUT_MS");
+  ::unsetenv("HPFCG_TRACE_CAPACITY");
+  ::unsetenv("HPFCG_RACE_SEED");
+}
+
+TEST(Knob, ScopedOverridesRestoreThePreviousValue) {
+  namespace race = hpfcg::race;
+  if constexpr (!race::kCompiled) GTEST_SKIP() << "race layer compiled out";
+  const bool was_on = race::enabled();
+  const std::uint64_t seed = race::replay_seed();
+  {
+    race::ScopedEnable on;
+    race::ScopedReplaySeed replay(seed + 11);
+    EXPECT_TRUE(race::enabled());
+    EXPECT_EQ(race::replay_seed(), seed + 11);
+    {
+      race::ScopedEnable off(false);
+      EXPECT_FALSE(race::enabled());
+    }
+    EXPECT_TRUE(race::enabled());
+  }
+  EXPECT_EQ(race::enabled(), was_on);
+  EXPECT_EQ(race::replay_seed(), seed);
 }
 
 }  // namespace
