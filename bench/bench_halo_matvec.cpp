@@ -1,9 +1,10 @@
 // Experiment HX — halo-exchange matvec vs the O(n) gather.
 //
-// The legacy executor replicates the whole operand vector before every
-// sweep: an allgatherv whose per-sweep bill grows with n no matter how
-// sparse the coupling is.  The inspector/executor halo plan ships only the
-// boundary entries a neighbor actually reads,
+// The gather mode (HPFCG_HALO=0) gives the halo plan every foreign index
+// as a ghost, so each sweep moves what replicating the whole operand
+// vector moved: a bill that grows with n no matter how sparse the coupling
+// is.  The default plan ghosts only the columns a rank's rows read, so the
+// same executor ships only the boundary entries a neighbor actually reads,
 //
 //   t_halo ≈ (t_startup + t_hop) · neighbors + t_comm · 8 · boundary
 //

@@ -40,17 +40,17 @@ struct Stats {
 
   /// Halo-executor traffic (sparse::HaloPlan): point-to-point messages and
   /// payload bytes this rank *sent* through a cached ghost-exchange plan,
-  /// and ghost entries materialized at plan build.  The halo/gather
-  /// comparison benches difference these against `gather_bytes` — the
-  /// foreign bytes a full `to_global()` gather delivered to this rank — so
-  /// the O(boundary) vs O(n) claim is measured in one currency.
+  /// and ghost entries materialized at plan build — under HPFCG_HALO=0 the
+  /// plan's ghosts are every foreign index, so the O(n) gather volume is
+  /// counted here too.  `gather_bytes` counts the foreign bytes a full
+  /// `to_global()` gather delivered to this rank.
   std::uint64_t halo_msgs = 0;
   std::uint64_t halo_bytes = 0;
   std::uint64_t ghost_entries = 0;
   std::uint64_t gather_bytes = 0;
-  /// Matvecs that wanted the halo executor but fell back to the O(n)
-  /// gather because the row distribution is not contiguous — the perf
-  /// cliff the one-shot runtime warning points at.
+  /// Nothing increments this: every sparse matrix constructor requires a
+  /// contiguous row map, so no sweep can fall back from the halo executor.
+  /// Kept because perfbench reports and gates it.
   std::uint64_t halo_fallbacks = 0;
 
   /// Multigrid preconditioner work (solvers::MgPreconditioner): V-cycle

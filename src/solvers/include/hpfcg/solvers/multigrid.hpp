@@ -44,6 +44,7 @@
 #include "hpfcg/msg/process.hpp"
 #include "hpfcg/solvers/dist_solvers.hpp"
 #include "hpfcg/sparse/dist_csr.hpp"
+#include "hpfcg/sparse/exchange_plan.hpp"
 
 namespace hpfcg::solvers {
 
@@ -64,16 +65,18 @@ struct MgOptions {
 };
 
 /// Inspector/executor transfer schedule between one grid level and its
-/// coarsening.  Built once at setup (one neighborhood all-to-all of fine
-/// gid requests, mirroring HaloPlan); each apply is O(transfer boundary)
-/// point-to-point traffic.  Restriction is injection — coarse point
-/// (xc,yc,zc) copies fine point (2xc,2yc,2zc) — and prolongation is its
-/// transpose scatter-add, so each fine point receives at most one coarse
-/// contribution and the apply is bitwise partition-invariant.
+/// coarsening: a sparse::ExchangePlan built once at setup, whose wanted
+/// list is each owned coarse point's co-located fine point.  Restriction
+/// is injection — coarse point (xc,yc,zc) copies fine point (2xc,2yc,2zc),
+/// the plan's gather — and prolongation is the plan's scatter-add, so each
+/// fine point receives at most one coarse contribution and the apply is
+/// bitwise partition-invariant.
 class GridTransfer {
  public:
   /// Collective: every rank calls together.  Distributions must be
-  /// contiguous (they are the matrices' row distributions).
+  /// contiguous (they are the matrices' row distributions), each grid's
+  /// extents must multiply to its distribution's size, and every fine
+  /// extent must be twice the coarse one.
   void build(msg::Process& proc, std::array<std::size_t, 3> fine_dims,
              const hpf::Distribution& fine_dist,
              std::array<std::size_t, 3> coarse_dims,
@@ -90,22 +93,12 @@ class GridTransfer {
   [[nodiscard]] bool built() const { return built_; }
 
  private:
-  struct Peer {
-    int rank = 0;
-    std::size_t offset = 0;
-    std::size_t count = 0;
-  };
-
   static constexpr int kRestrictTag = 0x2501;
   static constexpr int kProlongTag = 0x2502;
 
   bool built_ = false;
-  std::vector<Peer> coarse_peers_;  ///< runs of my coarse rows, per fine owner
-  std::vector<Peer> fine_peers_;    ///< coarse owners served from fine_idx_
-  std::vector<std::size_t> fine_idx_;     ///< my fine-local injection points
-  std::vector<std::size_t> self_coarse_;  ///< co-owned: coarse local index
-  std::vector<std::size_t> self_fine_;    ///< co-owned: fine local index
-  mutable std::vector<double> pack_;      ///< send/recv scratch
+  sparse::ExchangePlan plan_;
+  mutable std::vector<double> pack_;  ///< send/recv scratch
 };
 
 /// V-cycle geometric multigrid over a 27-point stencil DistCsr, pluggable

@@ -28,65 +28,29 @@ void GridTransfer::build(msg::Process& proc,
                          const hpf::Distribution& coarse_dist) {
   HPFCG_REQUIRE(fine_dist.contiguous() && coarse_dist.contiguous(),
                 "GridTransfer: contiguous distributions required");
-  const int np = proc.nprocs();
-  const int me = proc.rank();
-  const auto [clo, chi] = coarse_dist.local_range(me);
-  const auto [flo, fhi] = fine_dist.local_range(me);
-
-  coarse_peers_.clear();
-  fine_peers_.clear();
-  fine_idx_.clear();
-  self_coarse_.clear();
-  self_fine_.clear();
-
-  // Inspector: walk my coarse rows in order; the co-located fine gid is
-  // monotone in the coarse gid (both orderings are lexicographic in
-  // (z, y, x)), so each fine owner's slice is one contiguous run.
-  std::vector<std::vector<std::size_t>> requests(static_cast<std::size_t>(np));
-  int run_rank = -1;
-  std::size_t run_begin = 0;
-  const auto close_run = [&](std::size_t end) {
-    if (run_rank < 0 || run_rank == me || end == run_begin) return;
-    coarse_peers_.push_back(
-        Peer{run_rank, run_begin - clo, end - run_begin});
-  };
+  HPFCG_REQUIRE(fine_dims[0] * fine_dims[1] * fine_dims[2] ==
+                        fine_dist.size() &&
+                    coarse_dims[0] * coarse_dims[1] * coarse_dims[2] ==
+                        coarse_dist.size(),
+                "GridTransfer: grid extents disagree with the distributions");
+  for (std::size_t d = 0; d < 3; ++d) {
+    HPFCG_REQUIRE(fine_dims[d] == 2 * coarse_dims[d],
+                  "GridTransfer: every fine extent must be twice the coarse "
+                  "extent");
+  }
+  // Coarse row i wants its co-located fine point.  Both orderings are
+  // lexicographic in (z, y, x), so the wanted fine gids ascend.
+  const auto [clo, chi] = coarse_dist.local_range(proc.rank());
+  std::vector<std::size_t> wanted;
+  wanted.reserve(chi - clo);
   for (std::size_t ic = clo; ic < chi; ++ic) {
     const std::size_t zc = ic / (coarse_dims[0] * coarse_dims[1]);
     const std::size_t rem = ic % (coarse_dims[0] * coarse_dims[1]);
     const std::size_t yc = rem / coarse_dims[0];
     const std::size_t xc = rem % coarse_dims[0];
-    const std::size_t g = fine_gid_of(fine_dims, xc, yc, zc);
-    const int owner = fine_dist.owner(g);
-    if (owner != run_rank) {
-      close_run(ic);
-      run_rank = owner;
-      run_begin = ic;
-    }
-    if (owner == me) {
-      self_coarse_.push_back(ic - clo);
-      self_fine_.push_back(g - flo);
-    } else {
-      requests[static_cast<std::size_t>(owner)].push_back(g);
-    }
+    wanted.push_back(fine_gid_of(fine_dims, xc, yc, zc));
   }
-  close_run(chi);
-
-  // One neighborhood personalized all-to-all ships the fine-gid request
-  // lists; the replies tell this rank which of its owned fine entries each
-  // coarse-side peer injects from.
-  const auto replies = proc.neighbor_alltoallv<std::size_t>(requests);
-  for (int r = 0; r < np; ++r) {
-    if (r == me) continue;
-    const auto& want = replies[static_cast<std::size_t>(r)];
-    if (want.empty()) continue;
-    fine_peers_.push_back(Peer{r, fine_idx_.size(), want.size()});
-    for (const std::size_t g : want) {
-      HPFCG_REQUIRE(g >= flo && g < fhi,
-                    "GridTransfer: peer requested a fine entry this rank "
-                    "does not own — grid maps diverged");
-      fine_idx_.push_back(g - flo);
-    }
-  }
+  plan_.build(proc, wanted, fine_dist);
   built_ = true;
 }
 
@@ -94,45 +58,14 @@ void GridTransfer::restrict_to(msg::Process& proc,
                                std::span<const double> fine,
                                std::span<double> coarse) const {
   HPFCG_REQUIRE(built_, "GridTransfer::restrict_to before build");
-  for (const Peer& pe : fine_peers_) {
-    if (pack_.size() < pe.count) pack_.resize(pe.count);
-    for (std::size_t j = 0; j < pe.count; ++j) {
-      pack_[j] = fine[fine_idx_[pe.offset + j]];
-    }
-    proc.send<double>(pe.rank, kRestrictTag,
-                      std::span<const double>(pack_.data(), pe.count));
-  }
-  for (std::size_t i = 0; i < self_coarse_.size(); ++i) {
-    coarse[self_coarse_[i]] = fine[self_fine_[i]];
-  }
-  for (const Peer& pe : coarse_peers_) {
-    proc.recv_into<double>(pe.rank, kRestrictTag,
-                           coarse.subspan(pe.offset, pe.count));
-  }
+  plan_.gather<double>(proc, kRestrictTag, fine, coarse, pack_);
 }
 
 void GridTransfer::prolong_add(msg::Process& proc,
                                std::span<const double> coarse,
                                std::span<double> fine) const {
   HPFCG_REQUIRE(built_, "GridTransfer::prolong_add before build");
-  for (const Peer& pe : coarse_peers_) {
-    proc.send<double>(pe.rank, kProlongTag,
-                      coarse.subspan(pe.offset, pe.count));
-  }
-  std::uint64_t adds = self_fine_.size();
-  for (std::size_t i = 0; i < self_fine_.size(); ++i) {
-    fine[self_fine_[i]] += coarse[self_coarse_[i]];
-  }
-  for (const Peer& pe : fine_peers_) {
-    if (pack_.size() < pe.count) pack_.resize(pe.count);
-    proc.recv_into<double>(pe.rank, kProlongTag,
-                           std::span<double>(pack_.data(), pe.count));
-    for (std::size_t j = 0; j < pe.count; ++j) {
-      fine[fine_idx_[pe.offset + j]] += pack_[j];
-    }
-    adds += pe.count;
-  }
-  proc.add_flops(adds);
+  plan_.scatter_add<double>(proc, kProlongTag, coarse, fine, pack_);
 }
 
 MgPreconditioner::MgPreconditioner(msg::Process& proc,

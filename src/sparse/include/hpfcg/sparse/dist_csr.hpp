@@ -248,53 +248,31 @@ class DistCsr {
   /// every time.
   void enable_caching() { caching_ = true; }
 
-  /// q = A * p.  Both vectors must be distributed like the rows.
-  /// Default path (HPFCG_HALO on): the cached HaloPlan executor — exchange
-  /// only the O(boundary) ghost entries this rank's columns touch, then
-  /// sweep through the [owned | ghost] compact numbering.  Legacy path
-  /// (HPFCG_HALO=0): one all-to-all broadcast of p (Scenario 1 as HPF-1
-  /// lowers it).  Both paths accumulate each row's entries in identical k
-  /// order, so their results are bit-identical.
+  /// q = A * p.  Both vectors must be distributed like the rows.  The
+  /// cached HaloPlan executor fetches this rank's ghost entries, then the
+  /// sweep runs through the [owned | ghost] compact numbering.  Each row
+  /// accumulates its entries in k order, so the result does not depend on
+  /// the ghost set HPFCG_HALO picks (see ensure_halo).
   void matvec(const hpf::DistributedVector<T>& p,
               hpf::DistributedVector<T>& q) {
     check_vectors(p, q);
-    if (use_halo()) {
-      assemble();
-      audit_structure();
-      ensure_halo();
-      const std::size_t nl = local_rows();
-      x_halo_.resize(nl + halo_.n_ghosts());
-      std::copy(p.local().begin(), p.local().end(), x_halo_.begin());
-      halo_.exchange<T>(*proc_, p.local(),
-                        std::span<T>(x_halo_).subspan(nl), halo_pack_);
-      const std::size_t base = plan_.needed().begin;
-      auto ql = q.local();
-      std::size_t flops = 0;
-      for (std::size_t lr = 0; lr < nl; ++lr) {
-        T acc{};
-        const std::size_t lo = row_ptr_[lr];
-        const std::size_t hi = row_ptr_[lr + 1];
-        for (std::size_t k = lo; k < hi; ++k) {
-          acc += val_w_[k - base] * x_halo_[col_local_[k - base]];
-        }
-        ql[lr] = acc;
-        flops += 2 * (hi - lo);
-      }
-      proc_->add_flops(flops);
-      return;
-    }
-    const std::vector<T> full_p = p.to_global();
     assemble();
     audit_structure();
+    ensure_halo();
+    const std::size_t nl = local_rows();
+    x_halo_.resize(nl + halo_.n_ghosts());
+    std::copy(p.local().begin(), p.local().end(), x_halo_.begin());
+    halo_.exchange<T>(*proc_, p.local(), std::span<T>(x_halo_).subspan(nl),
+                      halo_pack_);
     const std::size_t base = plan_.needed().begin;
     auto ql = q.local();
     std::size_t flops = 0;
-    for (std::size_t lr = 0; lr < local_rows(); ++lr) {
+    for (std::size_t lr = 0; lr < nl; ++lr) {
       T acc{};
       const std::size_t lo = row_ptr_[lr];
       const std::size_t hi = row_ptr_[lr + 1];
       for (std::size_t k = lo; k < hi; ++k) {
-        acc += val_w_[k - base] * full_p[col_w_[k - base]];
+        acc += val_w_[k - base] * x_halo_[col_local_[k - base]];
       }
       ql[lr] = acc;
       flops += 2 * (hi - lo);
@@ -305,57 +283,38 @@ class DistCsr {
   /// q = A^T * p.  With row-wise storage the transpose product is a
   /// many-to-one accumulation (each local row scatters into q's columns) —
   /// the merge pattern of Scenario 2.  This is the operation that makes
-  /// BiCG "negate" row-storage optimisations (Section 2.1).  The halo path
+  /// BiCG "negate" row-storage optimisations (Section 2.1).  The sweep
   /// accumulates into the compact [owned | ghost] scratch and ships only
   /// the ghost *partials* back to their owners (an owner-targeted
-  /// scatter/accumulate); the legacy path pays the full n-length merge.
+  /// scatter/accumulate).
   void matvec_transpose(const hpf::DistributedVector<T>& p,
                         hpf::DistributedVector<T>& q) {
     check_vectors(p, q);
     assemble();
     audit_structure();
+    ensure_halo();
     const std::size_t base = plan_.needed().begin;
-    auto ql = q.local();
-    if (use_halo()) {
-      ensure_halo();
-      const std::size_t nl = local_rows();
-      zero_scratch(transpose_scratch_, nl + halo_.n_ghosts());
-      std::size_t flops = 0;
-      for (std::size_t lr = 0; lr < nl; ++lr) {
-        const T pi = p.local()[lr];
-        const std::size_t lo = row_ptr_[lr];
-        const std::size_t hi = row_ptr_[lr + 1];
-        for (std::size_t k = lo; k < hi; ++k) {
-          transpose_scratch_[col_local_[k - base]] += val_w_[k - base] * pi;
-        }
-        flops += 2 * (hi - lo);
-      }
-      proc_->add_flops(flops);
-      const std::span<T> scratch(transpose_scratch_.data(),
-                                 nl + halo_.n_ghosts());
-      halo_.accumulate<T>(*proc_, scratch.subspan(nl), scratch.first(nl),
-                          halo_pack_);
-      std::copy(scratch.begin(), scratch.begin() + static_cast<std::ptrdiff_t>(
-                                                       ql.size()),
-                ql.begin());
-      return;
-    }
-    zero_scratch(transpose_scratch_, n_);
+    const std::size_t nl = local_rows();
+    zero_scratch(transpose_scratch_, nl + halo_.n_ghosts());
     std::size_t flops = 0;
-    for (std::size_t lr = 0; lr < local_rows(); ++lr) {
+    for (std::size_t lr = 0; lr < nl; ++lr) {
       const T pi = p.local()[lr];
       const std::size_t lo = row_ptr_[lr];
       const std::size_t hi = row_ptr_[lr + 1];
       for (std::size_t k = lo; k < hi; ++k) {
-        transpose_scratch_[col_w_[k - base]] += val_w_[k - base] * pi;
+        transpose_scratch_[col_local_[k - base]] += val_w_[k - base] * pi;
       }
       flops += 2 * (hi - lo);
     }
     proc_->add_flops(flops);
-    proc_->allreduce_vec(transpose_scratch_);
-    for (std::size_t l = 0; l < ql.size(); ++l) {
-      ql[l] = transpose_scratch_[q.global_of(l)];
-    }
+    const std::span<T> scratch(transpose_scratch_.data(),
+                               nl + halo_.n_ghosts());
+    halo_.accumulate<T>(*proc_, scratch.subspan(nl), scratch.first(nl),
+                        halo_pack_);
+    auto ql = q.local();
+    std::copy(scratch.begin(),
+              scratch.begin() + static_cast<std::ptrdiff_t>(ql.size()),
+              ql.begin());
   }
 
   /// In-place Gauss–Seidel half sweep over this rank's rows:
@@ -367,86 +326,44 @@ class DistCsr {
   /// serial sweep for any NP (the Scenario 2 sequential dependency, paid as
   /// pipeline wait).  Otherwise ghost values are frozen for the half sweep,
   /// so boundary couplings relax Jacobi-style and every rank sweeps
-  /// concurrently — the hybrid smoother.  Requires a contiguous row
-  /// distribution (rank order must be global row order) and a nonzero
-  /// diagonal in every row.
+  /// concurrently — the hybrid smoother.  Rank order is global row order
+  /// because every constructor requires a contiguous row distribution.
+  /// Requires a nonzero diagonal in every row.
   void gs_half_sweep(const hpf::DistributedVector<T>& b,
                      hpf::DistributedVector<T>& x, bool forward, bool exact) {
     HPFCG_REQUIRE(b.size() == n_ && x.size() == n_,
                   "gs_half_sweep: dimension mismatch");
     HPFCG_REQUIRE(b.dist() == *row_dist_ && x.dist() == *row_dist_,
                   "gs_half_sweep: vectors must be aligned with the rows");
-    HPFCG_REQUIRE(row_dist_->contiguous(),
-                  "gs_half_sweep: contiguous row distribution required");
     assemble();
     audit_structure();
     ensure_gs_diag();
+    ensure_halo();
     const std::size_t nl = local_rows();
     const std::size_t base = plan_.needed().begin;
     auto xl = x.local();
     const auto bl = b.local();
+    x_halo_.resize(nl + halo_.n_ghosts());
+    std::copy(xl.begin(), xl.end(), x_halo_.begin());
+    const auto ghosts = std::span<T>(x_halo_).subspan(nl);
+    const std::span<const T> owned(xl.data(), xl.size());
+    if (exact) {
+      halo_.sweep_pre<T>(*proc_, owned, ghosts, halo_pack_, forward);
+    } else {
+      halo_.exchange<T>(*proc_, owned, ghosts, halo_pack_);
+    }
     std::size_t flops = 0;
-
-    if (use_halo()) {
-      ensure_halo();
-      x_halo_.resize(nl + halo_.n_ghosts());
-      std::copy(xl.begin(), xl.end(), x_halo_.begin());
-      const auto ghosts = std::span<T>(x_halo_).subspan(nl);
-      const std::span<const T> owned(xl.data(), xl.size());
-      if (exact) {
-        halo_.sweep_pre<T>(*proc_, owned, ghosts, halo_pack_, forward);
-      } else {
-        halo_.exchange<T>(*proc_, owned, ghosts, halo_pack_);
-      }
-      const auto relax = [&](std::size_t lr) {
-        const std::size_t lo = row_ptr_[lr];
-        const std::size_t hi = row_ptr_[lr + 1];
-        T acc = bl[lr];
-        for (std::size_t k = lo; k < hi; ++k) {
-          const std::size_t c = col_local_[k - base];
-          if (c == lr) continue;
-          acc -= val_w_[k - base] * x_halo_[c];
-        }
-        const T xi = acc / gs_diag_[lr];
-        x_halo_[lr] = xi;
-        xl[lr] = xi;
-        flops += 2 * (hi - lo) + 1;
-      };
-      if (forward) {
-        for (std::size_t lr = 0; lr < nl; ++lr) relax(lr);
-      } else {
-        for (std::size_t lr = nl; lr-- > 0;) relax(lr);
-      }
-      if (exact) halo_.sweep_post<T>(*proc_, owned, halo_pack_, forward);
-      proc_->add_flops(flops);
-      return;
-    }
-
-    // Legacy gather path: materialize the full vector, then (exact mode)
-    // chain the ranks in sweep order — each predecessor ships the vector
-    // with all of its rows updated, so the sweep is still bit-identical to
-    // the serial pass (at O(n) bytes per hop, matching this path's matvec).
-    std::vector<T> full = x.to_global();
-    constexpr int kChainTag = 0x2320;
-    const int np = proc_->nprocs();
-    const int me = proc_->rank();
-    const int prev = forward ? me - 1 : me + 1;
-    const int next = forward ? me + 1 : me - 1;
-    if (exact && prev >= 0 && prev < np) {
-      proc_->recv_into<T>(prev, kChainTag, std::span<T>(full));
-    }
     const auto relax = [&](std::size_t lr) {
       const std::size_t lo = row_ptr_[lr];
       const std::size_t hi = row_ptr_[lr + 1];
-      const std::size_t g = row_lo_ + lr;
       T acc = bl[lr];
       for (std::size_t k = lo; k < hi; ++k) {
-        const std::size_t c = col_w_[k - base];
-        if (c == g) continue;
-        acc -= val_w_[k - base] * full[c];
+        const std::size_t c = col_local_[k - base];
+        if (c == lr) continue;
+        acc -= val_w_[k - base] * x_halo_[c];
       }
       const T xi = acc / gs_diag_[lr];
-      full[g] = xi;
+      x_halo_[lr] = xi;
       xl[lr] = xi;
       flops += 2 * (hi - lo) + 1;
     };
@@ -455,39 +372,20 @@ class DistCsr {
     } else {
       for (std::size_t lr = nl; lr-- > 0;) relax(lr);
     }
-    if (exact && next >= 0 && next < np) {
-      proc_->send<T>(next, kChainTag, std::span<const T>(full));
-    }
+    if (exact) halo_.sweep_post<T>(*proc_, owned, halo_pack_, forward);
     proc_->add_flops(flops);
   }
 
-  /// The cached ghost-exchange schedule (empty until the first halo sweep).
+  /// The cached ghost-exchange schedule (empty until the first sweep).
   [[nodiscard]] const HaloPlan& halo_plan() const { return halo_; }
 
-  /// True when this matrix's sweeps run the halo executor.  The toggle is
-  /// sampled once per matrix, at the first sweep, so a matrix never mixes
-  /// half-built halo state with gather sweeps.
-  [[nodiscard]] bool halo_active() {
-    return use_halo();
-  }
-
-  /// Collective warm build of the halo plan (no-op when already built or
-  /// when the executor is off).  The rebalance hook calls this right after
-  /// a migration so the rebuild lands inside the rebalance step instead of
-  /// silently extending the next matvec.
+  /// Collective warm build of the halo plan (no-op when already built).
+  /// The rebalance hook calls this right after a migration so the rebuild
+  /// lands inside the rebalance step instead of silently extending the
+  /// next matvec.
   void prepare_halo() {
-    if (!use_halo()) return;
     assemble();
     ensure_halo();
-  }
-
-  /// Drop the cached plan and re-sample the toggle; the plan is rebuilt
-  /// collectively at the next sweep.  Migration paths get this for free
-  /// (they construct a fresh matrix); tests use it for A/B switching.
-  void invalidate_halo() {
-    halo_.invalidate();
-    col_local_.clear();
-    halo_mode_ = -1;
   }
 
   /// Times the transpose scratch grew (tests pin this to 1 across repeated
@@ -558,31 +456,22 @@ class DistCsr {
                   "DistCsr::matvec: vectors must be aligned with the rows");
   }
 
-  /// Sample the halo toggle once per matrix (first sweep decides).  The
-  /// executor needs a contiguous row map to turn ownership into ranges;
-  /// anything else falls back to the gather path — counted per matrix in
-  /// Stats::halo_fallbacks and announced once per run on stderr, because
-  /// the silent O(n)-per-sweep downgrade is otherwise invisible.
-  [[nodiscard]] bool use_halo() {
-    if (halo_mode_ < 0) {
-      if (halo::enabled() && !row_dist_->contiguous()) {
-        ++proc_->stats().halo_fallbacks;
-        halo::warn_fallback_once();
-      }
-      halo_mode_ = (halo::enabled() && row_dist_->contiguous()) ? 1 : 0;
-    }
-    return halo_mode_ == 1;
-  }
-
-  /// Collective lazy build: run the inspector over the assembled column
-  /// window and remap it into the compact [owned | ghost] numbering.  All
-  /// ranks reach the first sweep together, so the collective is aligned.
-  /// Requires assemble() to have run (col_w_ holds the window; its values
-  /// are immutable across re-fetches, so the remap stays valid even for
-  /// uncached HPF-1 layouts).
+  /// Collective lazy build: run the inspector and remap the assembled
+  /// column window into the compact [owned | ghost] numbering.  All ranks
+  /// reach the first sweep together, so the collective is aligned.
+  /// HPFCG_HALO picks the ghost set: on, the window's foreign columns; off,
+  /// every foreign index (Scenario 1's gather volume).  Requires assemble()
+  /// to have run (col_w_ holds the window; its values are immutable across
+  /// re-fetches, so the remap stays valid even for uncached HPF-1 layouts).
   void ensure_halo() {
     if (halo_.built()) return;
-    halo_.build(*proc_, std::span<const std::size_t>(col_w_), *row_dist_);
+    if (halo::enabled()) {
+      halo_.build(*proc_, std::span<const std::size_t>(col_w_), *row_dist_);
+    } else {
+      std::vector<std::size_t> every(n_);
+      std::iota(every.begin(), every.end(), std::size_t{0});
+      halo_.build(*proc_, std::span<const std::size_t>(every), *row_dist_);
+    }
     col_local_.resize(col_w_.size());
     for (std::size_t i = 0; i < col_w_.size(); ++i) {
       col_local_[i] = halo_.local_index(col_w_[i]);
@@ -682,7 +571,6 @@ class DistCsr {
   // matrices, and a copied plan stays valid while the ownership map does
   // (a real migration builds a fresh object, so the plan resets there).
   HaloPlan halo_;
-  int halo_mode_ = -1;  ///< -1 undecided, 0 gather, 1 halo (set at 1st sweep)
   std::vector<std::size_t> col_local_;  ///< col_w_ in [owned | ghost] numbering
   std::vector<T> x_halo_;               ///< [owned | ghost] sweep buffer
   std::vector<T> halo_pack_;            ///< executor pack/unpack scratch

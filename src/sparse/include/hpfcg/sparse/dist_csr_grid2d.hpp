@@ -97,7 +97,9 @@ class DistCsrGrid2D {
     const int gr = grid_.row_of(proc.rank());
     const int gc = grid_.col_of(proc.rank());
 
-    // (1) gather my column segment of p within the grid column.
+    // (1) gather my column segment of p within the grid column: the
+    // group plan moves only the positions its ghost set names
+    // (ensure_group_halo), into their places in the full-size segment.
     const auto col_members = grid_.col_group(gc);
     std::vector<std::size_t> piece_counts(col_members.size());
     {
@@ -106,15 +108,11 @@ class DistCsrGrid2D {
         piece_counts[static_cast<std::size_t>(i)] = piece.local_count(i);
       }
     }
-    if (use_halo()) {
-      // Inspector/executor variant of (1): exchange only the segment
-      // entries this tile's columns actually touch, scattered into the
-      // same positions of the full-size segment buffer — the sweep below
-      // reads identical values either way, so results are bit-identical.
-      ensure_group_halo(proc, col_members, piece_counts);
-      x_seg_.assign(chi_ - clo_, T{});
-      std::copy(p.local().begin(), p.local().end(),
-                x_seg_.begin() + static_cast<std::ptrdiff_t>(my_piece_lo_));
+    ensure_group_halo(proc, col_members, piece_counts);
+    x_seg_.assign(chi_ - clo_, T{});
+    std::copy(p.local().begin(), p.local().end(),
+              x_seg_.begin() + static_cast<std::ptrdiff_t>(my_piece_lo_));
+    {
       trace::SpanScope span(proc.tracer_rank(), trace::SpanKind::kHalo,
                             static_cast<std::uint32_t>(peers_.size()));
       std::uint64_t bytes = 0;
@@ -143,9 +141,6 @@ class DistCsrGrid2D {
       auto& s = proc.stats();
       s.halo_msgs += msgs;
       s.halo_bytes += bytes;
-    } else {
-      hpf::group_allgatherv<T>(proc, col_members, p.local(), x_seg_,
-                               piece_counts, 0x3400);
     }
 
     // (2) local sparse tile SpMV.
@@ -196,15 +191,11 @@ class DistCsrGrid2D {
   static constexpr int kSetupTag = 0x3500;
   static constexpr int kExchangeTag = 0x3501;
 
-  [[nodiscard]] bool use_halo() {
-    if (halo_mode_ < 0) halo_mode_ = halo::enabled() ? 1 : 0;
-    return halo_mode_ == 1;
-  }
-
-  /// Group-collective inspector, run lazily at the first halo sweep: scan
-  /// the tile's (rebased) columns for touched segment positions, exchange
-  /// the request lists pairwise within the grid column, and cache who
-  /// needs which of my piece entries.  Eager sends make the
+  /// Group-collective inspector, run lazily at the first sweep: scan the
+  /// tile's (rebased) columns for touched segment positions — or, with
+  /// HPFCG_HALO off, take every position, the volume of the column-group
+  /// gather — exchange the request lists pairwise within the grid column,
+  /// and cache who needs which of my piece entries.  Eager sends make the
   /// send-all-then-recv-all pairwise pass deadlock-free; empty lists still
   /// travel once here so both sides learn the (possibly empty) pattern.
   void ensure_group_halo(msg::Process& proc,
@@ -219,6 +210,10 @@ class DistCsrGrid2D {
     my_piece_lo_ = off[static_cast<std::size_t>(me_g)];
 
     std::vector<std::size_t> touched(tile_col_);
+    if (!halo::enabled()) {
+      touched.resize(chi_ - clo_);
+      std::iota(touched.begin(), touched.end(), std::size_t{0});
+    }
     std::sort(touched.begin(), touched.end());
     touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
 
@@ -268,7 +263,6 @@ class DistCsrGrid2D {
   std::vector<T> tile_val_;
 
   // Column-group halo state (lazy; see ensure_group_halo).
-  int halo_mode_ = -1;       ///< -1 undecided, 0 gather, 1 halo
   bool gplan_built_ = false;
   std::size_t my_piece_lo_ = 0;  ///< my piece's offset within the segment
   std::size_t ghost_entries_ = 0;

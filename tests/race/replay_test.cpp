@@ -185,7 +185,7 @@ TEST_P(RaceReplaySolverTest, HaloCgFusedIsReplayInvariant) {
               op, b, x, {.rel_tolerance = 1e-10, .track_residuals = true});
           if (p.rank() == 0) {
             run.signature = res.residual_signature();
-            EXPECT_TRUE(mat.halo_active());
+            EXPECT_TRUE(mat.halo_plan().built());
           }
         });
         run.races = rt.racer()->race_count();

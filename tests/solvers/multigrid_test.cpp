@@ -21,6 +21,8 @@
 #include "hpfcg/solvers/serial.hpp"
 #include "hpfcg/sparse/dist_csr.hpp"
 #include "hpfcg/sparse/generators.hpp"
+#include "hpfcg/sparse/halo.hpp"
+#include "hpfcg/util/error.hpp"
 #include "spmd_test_util.hpp"
 
 namespace sv = hpfcg::solvers;
@@ -315,20 +317,25 @@ TEST(GsHalfSweep, MatchesSerialGaussSeidelSweep) {
   for (std::size_t i = 0; i < n; ++i) serial_relax(i);
   for (std::size_t i = n; i-- > 0;) serial_relax(i);
 
-  for (const int np : test_machine_sizes()) {
-    run_spmd(np, [&](Process& proc) {
-      auto dist = share(Distribution::block(n, proc.nprocs()));
-      auto mat = sp::DistCsr<double>::row_aligned(proc, a, dist);
-      mat.prepare_halo();
-      DistributedVector<double> b(proc, dist), x(proc, dist);
-      b.from_global(b_full);
-      mat.gs_half_sweep(b, x, /*forward=*/true, /*exact=*/true);
-      mat.gs_half_sweep(b, x, /*forward=*/false, /*exact=*/true);
-      const auto full = x.to_global();
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(full[i], x_ref[i]) << "np=" << np << " row " << i;
-      }
-    });
+  // HPFCG_HALO off runs the same pipeline over the every-foreign plan.
+  for (const bool use_halo : {true, false}) {
+    sp::halo::ScopedEnable mode(use_halo);
+    for (const int np : test_machine_sizes()) {
+      run_spmd(np, [&](Process& proc) {
+        auto dist = share(Distribution::block(n, proc.nprocs()));
+        auto mat = sp::DistCsr<double>::row_aligned(proc, a, dist);
+        mat.prepare_halo();
+        DistributedVector<double> b(proc, dist), x(proc, dist);
+        b.from_global(b_full);
+        mat.gs_half_sweep(b, x, /*forward=*/true, /*exact=*/true);
+        mat.gs_half_sweep(b, x, /*forward=*/false, /*exact=*/true);
+        const auto full = x.to_global();
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(full[i], x_ref[i])
+              << "halo=" << use_halo << " np=" << np << " row " << i;
+        }
+      });
+    }
   }
 }
 
@@ -352,6 +359,104 @@ TEST(GsHalfSweep, ZeroDiagonalNamesTheRow) {
           << e.what();
     }
   });
+}
+
+/// Fine gid co-located with coarse gid `ic` (every extent doubles).
+std::size_t injection_point(std::array<std::size_t, 3> fine,
+                            std::array<std::size_t, 3> coarse,
+                            std::size_t ic) {
+  const std::size_t xc = ic % coarse[0];
+  const std::size_t yc = ic / coarse[0] % coarse[1];
+  const std::size_t zc = ic / (coarse[0] * coarse[1]);
+  return (2 * zc * fine[1] + 2 * yc) * fine[0] + 2 * xc;
+}
+
+TEST(GridTransfer, MismatchedExtentsThrowOnEveryRank) {
+  // 2x4x2 is not the halving of 4x4x4 in y: unvalidated, the plan would
+  // inject fine points from the wrong z-planes.
+  constexpr std::array<std::size_t, 3> kFine{4, 4, 4};
+  constexpr std::array<std::size_t, 3> kCoarse{2, 4, 2};
+  for (const int np : test_machine_sizes()) {
+    run_spmd(np, [&](Process& proc) {
+      const auto fine = Distribution::block(64, proc.nprocs());
+      const auto coarse = Distribution::block(16, proc.nprocs());
+      sv::GridTransfer gt;
+      EXPECT_THROW(gt.build(proc, kFine, fine, kCoarse, coarse),
+                   hpfcg::util::Error)
+          << "np=" << np << " rank " << proc.rank();
+      // A fine grid smaller than its distribution is refused too.
+      const auto small = Distribution::block(4, proc.nprocs());
+      EXPECT_THROW(gt.build(proc, {4, 4, 2}, fine, {2, 2, 1}, small),
+                   hpfcg::util::Error);
+      EXPECT_FALSE(gt.built());
+    });
+  }
+}
+
+TEST(GridTransfer, SkewedFineMapMatchesSerialInjectionAndTranspose) {
+  // Coarse BLOCK rows, fine rows cut so that coarse rank 1's injection
+  // points split three ways: the first third on fine rank 0, the middle
+  // third on itself, the rest on fine ranks 2.. — peer runs on both sides
+  // of a self-owned run.
+  constexpr std::array<std::size_t, 3> kFine{8, 8, 8};
+  constexpr std::array<std::size_t, 3> kCoarse{4, 4, 4};
+  constexpr std::size_t kNf = 512;
+  constexpr std::size_t kNc = 64;
+  std::vector<double> fine_full(kNf), coarse_full(kNc);
+  for (std::size_t g = 0; g < kNf; ++g) {
+    fine_full[g] = 0.5 + static_cast<double>((g * 37) % 101);
+  }
+  for (std::size_t g = 0; g < kNc; ++g) {
+    coarse_full[g] = 0.25 * static_cast<double>((g * 13) % 29) - 3.0;
+  }
+  std::vector<double> injected(kNc), prolonged(fine_full);
+  for (std::size_t ic = 0; ic < kNc; ++ic) {
+    injected[ic] = fine_full[injection_point(kFine, kCoarse, ic)];
+    prolonged[injection_point(kFine, kCoarse, ic)] += coarse_full[ic];
+  }
+
+  for (const int np : test_machine_sizes()) {
+    const auto coarse = share(Distribution::block(kNc, np));
+    std::vector<std::size_t> cuts{0, kNf};
+    if (np > 1) {
+      const auto [lo, hi] = coarse->local_range(1);
+      const std::size_t third = (hi - lo) / 3;
+      cuts = {0, injection_point(kFine, kCoarse, lo + third)};
+      const std::size_t mid = injection_point(kFine, kCoarse, lo + 2 * third);
+      for (int r = 2; r < np; ++r) {
+        cuts.push_back(mid + (kNf - mid) * static_cast<std::size_t>(r - 2) /
+                                 static_cast<std::size_t>(np - 2));
+      }
+      cuts.push_back(kNf);
+    }
+    const auto fine = share(Distribution::from_cuts(kNf, cuts));
+    if (np >= 3) {
+      // The layout the comment promises: fine owners 0, 1, 2 in that order.
+      const auto [lo, hi] = coarse->local_range(1);
+      std::vector<int> owners;
+      for (std::size_t ic = lo; ic < hi; ++ic) {
+        const int o = fine->owner(injection_point(kFine, kCoarse, ic));
+        if (owners.empty() || owners.back() != o) owners.push_back(o);
+      }
+      ASSERT_GE(owners.size(), 3u) << "np=" << np;
+      EXPECT_EQ(owners[0], 0);
+      EXPECT_EQ(owners[1], 1);
+      EXPECT_EQ(owners[2], 2);
+    }
+    run_spmd(np, [&](Process& proc) {
+      sv::GridTransfer gt;
+      gt.build(proc, kFine, *fine, kCoarse, *coarse);
+      DistributedVector<double> f(proc, fine), c(proc, coarse);
+      f.from_global(fine_full);
+      gt.restrict_to(proc, std::span<const double>(f.local()), c.local());
+      const auto c_full = c.to_global();
+      c.from_global(coarse_full);
+      gt.prolong_add(proc, std::span<const double>(c.local()), f.local());
+      const auto f_full = f.to_global();
+      EXPECT_EQ(c_full, injected) << "np=" << np;
+      EXPECT_EQ(f_full, prolonged) << "np=" << np;
+    });
+  }
 }
 
 }  // namespace

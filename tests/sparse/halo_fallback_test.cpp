@@ -1,12 +1,11 @@
-// Satellite coverage for the halo-fallback accounting: the one-shot stderr
-// warning fires exactly once per run, the Stats::halo_fallbacks counter
-// aggregates across ranks, and ordinary contiguous halo runs never count a
-// fallback (the counter is a perf-cliff alarm, not background noise).
+// Halo-fallback accounting: no fallback path exists, because every DistCsr
+// constructor rejects a non-contiguous row map; Stats::halo_fallbacks still
+// aggregates across ranks (perfbench reports it) and stays zero in both
+// ghost-set modes.
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "hpfcg/hpf/dist_vector.hpp"
@@ -15,6 +14,7 @@
 #include "hpfcg/sparse/dist_csr.hpp"
 #include "hpfcg/sparse/generators.hpp"
 #include "hpfcg/sparse/halo.hpp"
+#include "hpfcg/util/error.hpp"
 #include "spmd_test_util.hpp"
 
 namespace sp = hpfcg::sparse;
@@ -27,25 +27,6 @@ namespace {
 
 auto share(Distribution d) {
   return std::make_shared<const Distribution>(std::move(d));
-}
-
-TEST(HaloFallback, WarningFiresAtMostOncePerRun) {
-  // The helper is process-global and one-shot: the first call prints, every
-  // later call is silent — a fallback storm must not flood stderr.
-  ::testing::internal::CaptureStderr();
-  sp::halo::warn_fallback_once();
-  const std::string first = ::testing::internal::GetCapturedStderr();
-  ::testing::internal::CaptureStderr();
-  sp::halo::warn_fallback_once();
-  sp::halo::warn_fallback_once();
-  const std::string rest = ::testing::internal::GetCapturedStderr();
-  // Either this test triggered the first warning or an earlier fallback in
-  // the same binary already did; in both cases repeats are silent.
-  if (!first.empty()) {
-    EXPECT_NE(first.find("halo"), std::string::npos);
-    EXPECT_NE(first.find("halo_fallbacks"), std::string::npos);
-  }
-  EXPECT_TRUE(rest.empty()) << rest;
 }
 
 TEST(HaloFallback, StatsFieldAggregatesAcrossProcesses) {
@@ -66,14 +47,14 @@ TEST(HaloFallback, ContiguousHaloRunsCountNoFallbacks) {
     DistributedVector<double> p(proc, dist), q(proc, dist);
     p.set_from([](std::size_t g) { return 1.0 + static_cast<double>(g); });
     mat.matvec(p, q);
-    EXPECT_TRUE(mat.halo_active());
+    EXPECT_TRUE(mat.halo_plan().built());
   });
   EXPECT_EQ(rt->total_stats().halo_fallbacks, 0u);
 }
 
 TEST(HaloFallback, GatherModeIsNotAFallback) {
-  // Explicitly opting out (HPFCG_HALO=0) is an A/B choice, not a silent
-  // perf cliff: no fallback is counted.
+  // HPFCG_HALO=0 is an A/B choice of ghost set on the same executor, not a
+  // silent perf cliff: the plan is built and no fallback is counted.
   const auto a = sp::laplacian_2d(6, 6);
   const std::size_t n = a.n_rows();
   sp::halo::ScopedEnable halo_off(false);
@@ -83,9 +64,37 @@ TEST(HaloFallback, GatherModeIsNotAFallback) {
     DistributedVector<double> p(proc, dist), q(proc, dist);
     p.set_from([](std::size_t g) { return static_cast<double>(g % 7); });
     mat.matvec(p, q);
-    EXPECT_FALSE(mat.halo_active());
+    EXPECT_TRUE(mat.halo_plan().built());
+    EXPECT_EQ(mat.halo_plan().n_ghosts(),
+              n - dist->local_count(proc.rank()));
   });
   EXPECT_EQ(rt->total_stats().halo_fallbacks, 0u);
+}
+
+TEST(HaloFallback, ConstructorsRejectCyclicRowMaps) {
+  // The invariant that makes a fallback unreachable: no DistCsr can hold a
+  // row map whose ranks own non-contiguous runs.  Each entry point checks
+  // before any communication, so every rank throws on its own.
+  const auto a = sp::laplacian_2d(8, 8);
+  const std::size_t n = a.n_rows();
+  run_spmd(4, [&](Process& proc) {
+    const int np = proc.nprocs();
+    for (auto rows : {share(Distribution::cyclic(n, np)),
+                      share(Distribution::cyclic_size(n, np, 3))}) {
+      EXPECT_THROW(sp::DistCsr<double>(proc, a, rows,
+                                       share(Distribution::block(a.nnz(), np))),
+                   hpfcg::util::Error);
+      EXPECT_THROW(sp::DistCsr<double>::row_aligned(proc, a, rows),
+                   hpfcg::util::Error);
+      EXPECT_THROW(sp::DistCsr<double>::scatter_from_root(proc, 0, a, rows),
+                   hpfcg::util::Error);
+      EXPECT_THROW(sp::DistCsr<double>::from_local_rows(
+                       proc, rows, std::vector<std::size_t>(rows->local_count(
+                                       proc.rank())),
+                       {}, {}),
+                   hpfcg::util::Error);
+    }
+  });
 }
 
 }  // namespace

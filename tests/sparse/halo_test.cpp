@@ -1,8 +1,9 @@
 // HaloPlan inspector/executor: the ghost set must be exactly the union of
 // foreign columns (deduplicated), tiny problems with empty ranks and NP=1
-// must degenerate cleanly, the halo sweep must be bit-identical to the
-// legacy gather, redistribution must invalidate and rebuild the plan, and
-// the hoisted transpose scratch must allocate exactly once.
+// must degenerate cleanly, the touched-column plan must be bit-identical
+// to the every-foreign-index plan (HPFCG_HALO=0, the gather volume) while
+// moving fewer bytes, redistribution must invalidate and rebuild the plan,
+// and the hoisted transpose scratch must allocate exactly once.
 
 #include <gtest/gtest.h>
 
@@ -122,9 +123,10 @@ TEST(HaloPlanSingleRank, Np1IsANoOp) {
 }
 
 TEST_P(HaloPlanTest, MatvecBitIdenticalToGatherPath) {
-  // Both paths accumulate each row's entries in the same k order, so the
-  // results must agree to the last bit — the property the solver
-  // residual-history gates rely on.
+  // Both ghost sets cover every column a row reads and each row
+  // accumulates its entries in the same k order, so the results must agree
+  // to the last bit — the property the solver residual-history gates rely
+  // on.
   const int np = GetParam();
   const auto a = hpfcg::sparse::random_spd(72, 7, 11);
   const std::size_t n = a.n_rows();
@@ -263,30 +265,36 @@ TEST_P(HaloPlanTest, PerSweepBytesShrinkVersusGather) {
   EXPECT_LT(marginal_bytes(true), marginal_bytes(false));
 }
 
-TEST_P(HaloPlanTest, CountersSplitHaloFromGatherBytes) {
+TEST_P(HaloPlanTest, EveryForeignPlanMovesTheAllgatherVolume) {
+  // HPFCG_HALO=0 keeps the Scenario-1 gather's volume on the halo
+  // executor: every rank receives all n entries but its own, so a marginal
+  // sweep moves (NP-1)·n·8 bytes machine-wide — what the replicating
+  // allgatherv moved — counted as halo bytes.  No to_global() gather runs
+  // in either mode.
   const int np = GetParam();
   const auto a = hpfcg::sparse::laplacian_2d(8, 8);
   const std::size_t n = a.n_rows();
   for (const bool use_halo : {true, false}) {
     halo::ScopedEnable mode(use_halo);
-    auto rt = run_spmd(np, [&](Process& proc) {
-      auto row_dist = share(Distribution::block(n, proc.nprocs()));
-      auto mat = DistCsr<double>::row_aligned(proc, a, row_dist);
-      DistributedVector<double> p(proc, row_dist), q(proc, row_dist);
-      p.set_from(pval);
-      mat.matvec(p, q);
-    });
-    const auto total = rt->total_stats();
-    if (use_halo) {
-      EXPECT_EQ(total.gather_bytes, 0u);
-      if (np > 1) {
-        EXPECT_GT(total.halo_bytes, 0u);
-      }
-    } else {
-      EXPECT_EQ(total.halo_bytes, 0u);
-      if (np > 1) {
-        EXPECT_GT(total.gather_bytes, 0u);
-      }
+    const auto totals = [&](int sweeps) {
+      auto rt = run_spmd(np, [&](Process& proc) {
+        auto row_dist = share(Distribution::block(n, proc.nprocs()));
+        auto mat = DistCsr<double>::row_aligned(proc, a, row_dist);
+        DistributedVector<double> p(proc, row_dist), q(proc, row_dist);
+        p.set_from(pval);
+        for (int sweep = 0; sweep < sweeps; ++sweep) mat.matvec(p, q);
+      });
+      return rt->total_stats();
+    };
+    const auto one = totals(1);
+    const auto two = totals(2);
+    EXPECT_EQ(two.gather_bytes, 0u) << "halo=" << use_halo;
+    if (!use_halo) {
+      const std::uint64_t allgather =
+          static_cast<std::uint64_t>(np - 1) * n * sizeof(double);
+      EXPECT_EQ(two.bytes_sent - one.bytes_sent, allgather);
+      EXPECT_EQ(two.halo_bytes - one.halo_bytes, allgather);
+      EXPECT_EQ(one.ghost_entries, static_cast<std::uint64_t>(np - 1) * n);
     }
   }
 }
