@@ -24,7 +24,16 @@
 #include <utility>
 #include <vector>
 
+#include "hpfcg/util/error.hpp"
+
 namespace hpfcg::check {
+
+/// What the ledger throws on divergence, so the runtime can report it
+/// ahead of the symptoms it provokes on other ranks.
+class ConformanceError : public util::Error {
+ public:
+  using util::Error::Error;
+};
 
 enum class CollectiveKind : std::uint8_t {
   kBarrier,
@@ -39,13 +48,9 @@ enum class CollectiveKind : std::uint8_t {
   kGatherv,
   kScatterv,
   kAlltoallv,
-  /// Sender-described sparse personalized all-to-all (halo plan builds):
-  /// per-pair counts are exchanged in a header pass, so only kind and
-  /// element size are conformable.
-  kNeighborAlltoallv,
-  /// Cached halo-executor exchange (sparse::HaloPlan): `count` carries the
-  /// plan's replicated topology fingerprint, so a rank executing a stale
-  /// or divergent plan is named by the ledger.
+  /// Cached exchange-plan replay (sparse::HaloPlan, the ext schedules):
+  /// `count` carries a replicated fingerprint of the plan, so a rank
+  /// executing a stale or divergent plan is named by the ledger.
   kHaloExchange,
   kExscan,
   kSequential,

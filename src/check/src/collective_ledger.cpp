@@ -18,7 +18,6 @@ const char* to_string(CollectiveKind k) {
     case CollectiveKind::kGatherv: return "gatherv";
     case CollectiveKind::kScatterv: return "scatterv";
     case CollectiveKind::kAlltoallv: return "alltoallv";
-    case CollectiveKind::kNeighborAlltoallv: return "neighbor_alltoallv";
     case CollectiveKind::kHaloExchange: return "halo_exchange";
     case CollectiveKind::kExscan: return "exscan";
     case CollectiveKind::kSequential: return "sequential";
@@ -60,7 +59,7 @@ namespace {
   os << "hpfcg::check: collective conformance violation at collective #" << seq
      << ": rank " << divergent << " entered " << div_rec.describe()
      << " but rank 0 entered " << ref_rec.describe();
-  throw util::Error(os.str());
+  throw ConformanceError(os.str());
 }
 
 }  // namespace

@@ -11,20 +11,101 @@
 //   GatherSchedule      result(i) = x(idx(i))        (vector subscript read)
 //   ScatterAddSchedule  y(idx(i)) += x(i)            (many-to-one update)
 //
-// The *inspector* (constructor) exchanges the index lists once; every
-// *executor* run (execute()) then moves only values.  Reusing a schedule
-// across sweeps amortizes the inspector — the measured subject of
-// bench_inspector.
+// The *inspector* (constructor) orders the local index slots by owner and
+// builds one sparse::ExchangePlan over them, which exchanges the index
+// lists once; every *executor* run (execute()) then moves only values,
+// one message per nonempty rank pair.  Reusing a schedule across sweeps
+// amortizes the inspector — the measured subject of bench_inspector.
 
 #include <cstddef>
+#include <cstdint>
+#include <numeric>
+#include <span>
 #include <vector>
 
 #include "hpfcg/hpf/dist_vector.hpp"
 #include "hpfcg/hpf/distribution.hpp"
 #include "hpfcg/msg/process.hpp"
+#include "hpfcg/sparse/exchange_plan.hpp"
+#include "hpfcg/trace/span.hpp"
 #include "hpfcg/util/error.hpp"
 
 namespace hpfcg::ext {
+
+namespace detail {
+
+/// The inspector both schedules share: the local slots of `idx` ordered
+/// by the owner of the element each names, stable within an owner (one
+/// counting pass over the NP owners, O(m + NP)), and the exchange plan
+/// whose wanted list is those elements in that order.  The executors
+/// stage values in plan order.
+template <class T>
+class OwnerOrderedPlan {
+ public:
+  OwnerOrderedPlan(msg::Process& proc, std::span<const std::size_t> idx,
+                   const hpf::Distribution& owners, const char* range_error)
+      : proc_(&proc), n_(owners.size()), slot_(idx.size()),
+        stage_(idx.size()) {
+    std::vector<std::size_t> start(static_cast<std::size_t>(proc.nprocs()) +
+                                   1);
+    std::vector<int> owner(idx.size());
+    for (std::size_t l = 0; l < idx.size(); ++l) {
+      HPFCG_REQUIRE(idx[l] < n_, range_error);
+      owner[l] = owners.owner(idx[l]);
+      ++start[static_cast<std::size_t>(owner[l]) + 1];
+    }
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    std::vector<std::size_t> wanted(idx.size());
+    for (std::size_t l = 0; l < idx.size(); ++l) {
+      const std::size_t k = start[static_cast<std::size_t>(owner[l])]++;
+      slot_[k] = l;
+      wanted[k] = idx[l];
+    }
+    plan_.build(proc, wanted, owners);
+  }
+
+  /// out[l] = the element idx[l] names, with `owned` this rank's block of
+  /// the owners' vector.
+  void gather(std::span<const T> owned, std::span<T> out) const {
+    auto span = replay(0);
+    span.set_bytes(
+        plan_.gather<T>(*proc_, kGatherTag, owned, stage_, pack_).bytes);
+    for (std::size_t k = 0; k < slot_.size(); ++k) out[slot_[k]] = stage_[k];
+  }
+
+  /// The element idx[l] names gets in[l] added, in ascending source rank.
+  void scatter_add(std::span<const T> in, std::span<T> owned) const {
+    auto span = replay(1);
+    for (std::size_t k = 0; k < slot_.size(); ++k) stage_[k] = in[slot_[k]];
+    span.set_bytes(
+        plan_.scatter_add<T>(*proc_, kScatterTag, stage_, owned, pack_)
+            .bytes);
+  }
+
+ private:
+  static constexpr int kGatherTag = 0x2601;
+  static constexpr int kScatterTag = 0x2602;
+
+  /// Opening of every execute: post the ledger record (the owners'
+  /// global length is the replicated fingerprint) and open the kHalo
+  /// span (aux: 0 gather, 1 scatter-add).
+  [[nodiscard]] trace::SpanScope replay(std::uint8_t aux) const {
+    proc_->conform_halo(sizeof(T), n_);
+    return trace::SpanScope(
+        proc_->tracer_rank(), trace::SpanKind::kHalo,
+        static_cast<std::uint32_t>(plan_.send_peers() + plan_.recv_peers()),
+        0, 0, aux);
+  }
+
+  msg::Process* proc_;
+  std::size_t n_;                  ///< global length of the owners' vector
+  std::vector<std::size_t> slot_;  ///< local idx slot of plan position k
+  sparse::ExchangePlan plan_;
+  mutable std::vector<T> stage_;  ///< values in plan order
+  mutable std::vector<T> pack_;   ///< executor pack/unpack scratch
+};
+
+}  // namespace detail
 
 /// Schedule for result(i) = x(idx(i)): `idx` is distributed like `result`,
 /// x like `src_dist`.  Built collectively; reusable for any x/result with
@@ -35,34 +116,8 @@ class GatherSchedule {
   GatherSchedule(msg::Process& proc,
                  const hpf::DistributedVector<std::size_t>& idx,
                  hpf::DistPtr src_dist)
-      : proc_(&proc), src_dist_(std::move(src_dist)),
-        result_dist_(idx.dist_ptr()) {
-    const int np = proc.nprocs();
-    const hpf::Distribution& sd = *src_dist_;
-
-    // Inspector: which global x-elements do my result elements need, and
-    // where do the fetched values land locally?
-    std::vector<std::vector<std::size_t>> requests(
-        static_cast<std::size_t>(np));
-    placement_.assign(static_cast<std::size_t>(np), {});
-    for (std::size_t l = 0; l < idx.local().size(); ++l) {
-      const std::size_t g = idx.local()[l];
-      HPFCG_REQUIRE(g < sd.size(), "gather: index out of range");
-      const auto owner = static_cast<std::size_t>(sd.owner(g));
-      requests[owner].push_back(g);
-      placement_[owner].push_back(l);
-    }
-    // One exchange of index lists — the inspector's cost.
-    const auto serve_globals = proc.alltoallv<std::size_t>(requests);
-    serve_.assign(static_cast<std::size_t>(np), {});
-    for (int r = 0; r < np; ++r) {
-      const auto ur = static_cast<std::size_t>(r);
-      serve_[ur].reserve(serve_globals[ur].size());
-      for (const std::size_t g : serve_globals[ur]) {
-        serve_[ur].push_back(sd.local_index(g));
-      }
-    }
-  }
+      : src_dist_(std::move(src_dist)), result_dist_(idx.dist_ptr()),
+        plan_(proc, idx.local(), *src_dist_, "gather: index out of range") {}
 
   /// Executor: moves values only.  `x` must use the schedule's source
   /// distribution, `result` the index vector's distribution.
@@ -72,71 +127,29 @@ class GatherSchedule {
                   "gather: x distribution differs from the schedule");
     HPFCG_REQUIRE(result.dist() == *result_dist_,
                   "gather: result distribution differs from the schedule");
-    msg::Process& proc = *proc_;
-    const int np = proc.nprocs();
-    std::vector<std::vector<T>> out(static_cast<std::size_t>(np));
-    for (int r = 0; r < np; ++r) {
-      const auto ur = static_cast<std::size_t>(r);
-      out[ur].reserve(serve_[ur].size());
-      for (const std::size_t l : serve_[ur]) out[ur].push_back(x.local()[l]);
-    }
-    const auto in = proc.alltoallv<T>(out);
-    for (int r = 0; r < np; ++r) {
-      const auto ur = static_cast<std::size_t>(r);
-      HPFCG_REQUIRE(in[ur].size() == placement_[ur].size(),
-                    "gather: executor stream length mismatch");
-      for (std::size_t k = 0; k < in[ur].size(); ++k) {
-        result.local()[placement_[ur][k]] = in[ur][k];
-      }
-    }
+    plan_.gather(x.local(), result.local());
   }
 
  private:
-  msg::Process* proc_;
   hpf::DistPtr src_dist_;
   hpf::DistPtr result_dist_;
-  /// placement_[r][k]: local result slot of the k-th value from rank r.
-  std::vector<std::vector<std::size_t>> placement_;
-  /// serve_[r][k]: local x index of the k-th value rank r asked us for.
-  std::vector<std::vector<std::size_t>> serve_;
+  detail::OwnerOrderedPlan<T> plan_;
 };
 
 /// Schedule for y(idx(i)) += x(i): the many-to-one accumulation of the
 /// paper's Scenario 2 inner loop, as a first-class schedule.  `idx` and
 /// `x` share a distribution; `y` uses `target_dist`.  Contributions to the
-/// same element (from any rank) sum.
+/// same element (from any rank) sum in ascending source rank, each rank's
+/// in its local order.
 template <class T>
 class ScatterAddSchedule {
  public:
   ScatterAddSchedule(msg::Process& proc,
                      const hpf::DistributedVector<std::size_t>& idx,
                      hpf::DistPtr target_dist)
-      : proc_(&proc), src_dist_(idx.dist_ptr()),
-        target_dist_(std::move(target_dist)) {
-    const int np = proc.nprocs();
-    const hpf::Distribution& td = *target_dist_;
-
-    // Inspector: route each local contribution to its target's owner.
-    pick_.assign(static_cast<std::size_t>(np), {});
-    std::vector<std::vector<std::size_t>> targets(
-        static_cast<std::size_t>(np));
-    for (std::size_t l = 0; l < idx.local().size(); ++l) {
-      const std::size_t g = idx.local()[l];
-      HPFCG_REQUIRE(g < td.size(), "scatter_add: index out of range");
-      const auto owner = static_cast<std::size_t>(td.owner(g));
-      pick_[owner].push_back(l);
-      targets[owner].push_back(g);
-    }
-    const auto incoming = proc.alltoallv<std::size_t>(targets);
-    apply_.assign(static_cast<std::size_t>(np), {});
-    for (int r = 0; r < np; ++r) {
-      const auto ur = static_cast<std::size_t>(r);
-      apply_[ur].reserve(incoming[ur].size());
-      for (const std::size_t g : incoming[ur]) {
-        apply_[ur].push_back(td.local_index(g));
-      }
-    }
-  }
+      : src_dist_(idx.dist_ptr()), target_dist_(std::move(target_dist)),
+        plan_(proc, idx.local(), *target_dist_,
+              "scatter_add: index out of range") {}
 
   /// Executor: y(idx(i)) += x(i) for every i, across all ranks.
   void execute(const hpf::DistributedVector<T>& x,
@@ -145,36 +158,13 @@ class ScatterAddSchedule {
                   "scatter_add: x distribution differs from the schedule");
     HPFCG_REQUIRE(y.dist() == *target_dist_,
                   "scatter_add: y distribution differs from the schedule");
-    msg::Process& proc = *proc_;
-    const int np = proc.nprocs();
-    std::vector<std::vector<T>> out(static_cast<std::size_t>(np));
-    for (int r = 0; r < np; ++r) {
-      const auto ur = static_cast<std::size_t>(r);
-      out[ur].reserve(pick_[ur].size());
-      for (const std::size_t l : pick_[ur]) out[ur].push_back(x.local()[l]);
-    }
-    const auto in = proc.alltoallv<T>(out);
-    std::size_t flops = 0;
-    for (int r = 0; r < np; ++r) {
-      const auto ur = static_cast<std::size_t>(r);
-      HPFCG_REQUIRE(in[ur].size() == apply_[ur].size(),
-                    "scatter_add: executor stream length mismatch");
-      for (std::size_t k = 0; k < in[ur].size(); ++k) {
-        y.local()[apply_[ur][k]] += in[ur][k];
-      }
-      flops += in[ur].size();
-    }
-    proc.add_flops(flops);
+    plan_.scatter_add(x.local(), y.local());
   }
 
  private:
-  msg::Process* proc_;
   hpf::DistPtr src_dist_;
   hpf::DistPtr target_dist_;
-  /// pick_[r][k]: local x slot of the k-th contribution sent to rank r.
-  std::vector<std::vector<std::size_t>> pick_;
-  /// apply_[r][k]: local y slot receiving the k-th contribution from r.
-  std::vector<std::vector<std::size_t>> apply_;
+  detail::OwnerOrderedPlan<T> plan_;
 };
 
 }  // namespace hpfcg::ext

@@ -9,11 +9,11 @@
 // reduce-scattered only within grid rows (n/pr per rank), for O(n/sqrt(P))
 // total volume.  This header provides that decomposition as an ablation:
 //
-//   Grid2D               — rank <-> (row, col) coordinates, group lists
+//   Grid2D               — rank <-> (row, col) coordinates, group lists,
+//                          the operand and result vector maps
 //   group_allgatherv     — allgather among an explicit rank list
 //   group_reduce_scatter — ring reduce-scatter among an explicit rank list
 //   DenseGrid2DMatrix    — the (BLOCK, BLOCK) dense matrix
-//   matvec_grid2d        — q = A p with both vectors in plain BLOCK(np)
 //
 // Subgroup collectives use fixed tags: within one call each (src, dst,
 // tag) pair carries exactly one message and SPMD programs order calls
@@ -75,7 +75,41 @@ class Grid2D {
     return out;
   }
 
+  /// The distribution a length-n operand vector must have so that grid
+  /// column j's group collectively owns column segment j of BLOCK(n, pc):
+  /// rank (i, j) owns the i-th BLOCK sub-piece of segment j.
+  [[nodiscard]] DistPtr vector_dist(std::size_t n) const {
+    return piece_dist(n, true);
+  }
+
+  /// The distribution a 2-D matvec's result comes out in: rank (i, j) owns
+  /// the j-th sub-piece of row segment i — the transpose of vector_dist().
+  /// (The classical 2-D matvec asymmetry; redistribute() maps between the
+  /// two at O(n/NP) per-rank cost when iterating.)
+  [[nodiscard]] DistPtr result_dist(std::size_t n) const {
+    return piece_dist(n, false);
+  }
+
  private:
+  /// Segment s of BLOCK(n, pc) (by_col) or BLOCK(n, pr) split BLOCK-wise
+  /// over the members of grid column s or grid row s.
+  [[nodiscard]] DistPtr piece_dist(std::size_t n, bool by_col) const {
+    const int segs = by_col ? pc_ : pr_;
+    const int pieces = by_col ? pr_ : pc_;
+    const auto seg_blocks = Distribution::block(n, segs);
+    std::vector<int> owner(n);
+    for (int s = 0; s < segs; ++s) {
+      const auto [lo, hi] = seg_blocks.local_range(s);
+      const auto piece = Distribution::block(hi - lo, pieces);
+      for (std::size_t g = lo; g < hi; ++g) {
+        const int k = piece.owner(g - lo);
+        owner[g] = by_col ? rank_of(k, s) : rank_of(s, k);
+      }
+    }
+    return std::make_shared<const Distribution>(
+        Distribution::indirect(np(), std::move(owner)));
+  }
+
   int pr_;
   int pc_;
 };
@@ -182,15 +216,14 @@ template <class T>
 class DenseGrid2DMatrix {
  public:
   DenseGrid2DMatrix(msg::Process& proc, Grid2D grid, std::size_t n)
-      : proc_(&proc), grid_(grid), n_(n),
-        row_blocks_(Distribution::block(n, grid.pr())),
-        col_blocks_(Distribution::block(n, grid.pc())) {
+      : proc_(&proc), grid_(grid), n_(n), vdist_(grid.vector_dist(n)),
+        rdist_(grid.result_dist(n)) {
     HPFCG_REQUIRE(grid.np() == proc.nprocs(),
                   "DenseGrid2DMatrix: grid must cover the machine");
-    const int gr = grid_.row_of(proc.rank());
-    const int gc = grid_.col_of(proc.rank());
-    std::tie(rlo_, rhi_) = row_blocks_.local_range(gr);
-    std::tie(clo_, chi_) = col_blocks_.local_range(gc);
+    std::tie(rlo_, rhi_) = Distribution::block(n, grid.pr())
+                               .local_range(grid.row_of(proc.rank()));
+    std::tie(clo_, chi_) = Distribution::block(n, grid.pc())
+                               .local_range(grid.col_of(proc.rank()));
     tile_.assign((rhi_ - rlo_) * (chi_ - clo_), T{});
   }
 
@@ -208,58 +241,29 @@ class DenseGrid2DMatrix {
     }
   }
 
-  /// The distribution a vector must have so that grid column j's group
-  /// collectively owns column segment j: rank (i, j) owns the i-th
-  /// sub-piece of segment j.
-  [[nodiscard]] DistPtr vector_dist() const {
-    std::vector<int> owner(n_);
-    for (int j = 0; j < grid_.pc(); ++j) {
-      const auto [lo, hi] = col_blocks_.local_range(j);
-      const auto piece = Distribution::block(hi - lo, grid_.pr());
-      for (std::size_t g = lo; g < hi; ++g) {
-        owner[g] = grid_.rank_of(piece.owner(g - lo), j);
-      }
-    }
-    return std::make_shared<const Distribution>(
-        Distribution::indirect(grid_.np(), std::move(owner)));
-  }
-
-  /// The distribution the *result* of matvec comes out in: rank (i, j)
-  /// owns the j-th sub-piece of row segment i — the transpose of
-  /// vector_dist().  (The classical 2-D matvec asymmetry; redistribute()
-  /// maps between the two at O(n/NP) per-rank cost when iterating.)
-  [[nodiscard]] DistPtr result_dist() const {
-    std::vector<int> owner(n_);
-    for (int i = 0; i < grid_.pr(); ++i) {
-      const auto [lo, hi] = row_blocks_.local_range(i);
-      const auto piece = Distribution::block(hi - lo, grid_.pc());
-      for (std::size_t g = lo; g < hi; ++g) {
-        owner[g] = grid_.rank_of(i, piece.owner(g - lo));
-      }
-    }
-    return std::make_shared<const Distribution>(
-        Distribution::indirect(grid_.np(), std::move(owner)));
-  }
+  /// The operand and result distributions (Grid2D::vector_dist and
+  /// result_dist), built once: callers holding these handles pass the
+  /// O(1) identity check of matvec.
+  [[nodiscard]] DistPtr vector_dist() const { return vdist_; }
+  [[nodiscard]] DistPtr result_dist() const { return rdist_; }
 
   /// q = A p.  `p` must use vector_dist(), `q` result_dist().
   /// Communication per rank: column-group allgather of n/pc + row-group
   /// reduce-scatter of n/pr — O(n/sqrt(P)) instead of the stripes' O(n).
   void matvec(const DistributedVector<T>& p, DistributedVector<T>& q) {
-    HPFCG_REQUIRE(p.size() == n_ && q.size() == n_,
-                  "grid2d matvec: dimension mismatch");
+    HPFCG_REQUIRE(p.dist() == *vdist_,
+                  "grid2d matvec: p not distributed by vector_dist()");
+    HPFCG_REQUIRE(q.dist() == *rdist_,
+                  "grid2d matvec: q not distributed by result_dist()");
     msg::Process& proc = *proc_;
     const int gr = grid_.row_of(proc.rank());
     const int gc = grid_.col_of(proc.rank());
 
     // (1) allgather p's column segment within my grid column.
     const auto col_members = grid_.col_group(gc);
-    std::vector<std::size_t> piece_counts(col_members.size());
-    {
-      const auto piece =
-          Distribution::block(chi_ - clo_, grid_.pr());
-      for (int i = 0; i < grid_.pr(); ++i) {
-        piece_counts[static_cast<std::size_t>(i)] = piece.local_count(i);
-      }
+    std::vector<std::size_t> piece_counts;
+    for (const int r : col_members) {
+      piece_counts.push_back(vdist_->local_count(r));
     }
     std::vector<T> p_seg;
     group_allgatherv<T>(proc, col_members, p.local(), p_seg, piece_counts,
@@ -282,16 +286,10 @@ class DenseGrid2DMatrix {
     // (3) reduce-scatter the partials within my grid row; my piece of the
     // row segment is the gc-th sub-block.
     const auto row_members = grid_.row_group(gr);
-    std::vector<std::size_t> out_counts(row_members.size());
-    {
-      const auto piece = Distribution::block(tr, grid_.pc());
-      for (int j = 0; j < grid_.pc(); ++j) {
-        out_counts[static_cast<std::size_t>(j)] = piece.local_count(j);
-      }
+    std::vector<std::size_t> out_counts;
+    for (const int r : row_members) {
+      out_counts.push_back(rdist_->local_count(r));
     }
-    HPFCG_REQUIRE(q.local().size() ==
-                      out_counts[static_cast<std::size_t>(gc)],
-                  "grid2d matvec: q not distributed by vector_dist()");
     group_reduce_scatter<T>(proc, row_members, partial, q.local(), out_counts,
                             0x3200);
   }
@@ -300,8 +298,8 @@ class DenseGrid2DMatrix {
   msg::Process* proc_;
   Grid2D grid_;
   std::size_t n_;
-  Distribution row_blocks_;
-  Distribution col_blocks_;
+  DistPtr vdist_;
+  DistPtr rdist_;
   std::size_t rlo_ = 0, rhi_ = 0, clo_ = 0, chi_ = 0;
   std::vector<T> tile_;  // tile_rows × tile_cols, row-major
 };

@@ -536,12 +536,16 @@ class Process {
     std::vector<std::vector<T>> recv_blocks(static_cast<std::size_t>(p));
     recv_blocks[static_cast<std::size_t>(rank_)] =
         send_blocks[static_cast<std::size_t>(rank_)];
+    // Sends are eager, so every block goes out before the first receive
+    // and no rank waits on its ring neighbours' progress step by step.
     for (int off = 1; off < p; ++off) {
       const int dst = (rank_ + off) % p;
-      const int src = (rank_ - off + p) % p;
       const auto& blk = send_blocks[static_cast<std::size_t>(dst)];
       send<T>(dst, coll_tag(seq, off),
               std::span<const T>(blk.data(), blk.size()));
+    }
+    for (int off = 1; off < p; ++off) {
+      const int src = (rank_ - off + p) % p;
       recv_blocks[static_cast<std::size_t>(src)] =
           recv<T>(src, coll_tag(seq, off));
     }
@@ -595,60 +599,6 @@ class Process {
     return recv_blocks;
   }
 
-  /// Neighborhood personalized all-to-all: only the sender knows its
-  /// destinations.  A header pass transposes the per-pair counts (every
-  /// pair exchanges one std::size_t), then payload messages travel only for
-  /// the nonzero pairs — ranks with no mutual boundary exchange nothing but
-  /// the header.  Receivers post directed recvs per source rank in a fixed
-  /// ring order (no wildcards), so the exchange is replay-deterministic.
-  /// Cost O(P) start-ups for the header pass; intended for setup-time plan
-  /// construction (the sparse halo inspector), not per-iteration use — the
-  /// executor replays the discovered pattern with exactly one message per
-  /// nonempty pair.
-  template <class T>
-  std::vector<std::vector<T>> neighbor_alltoallv(
-      const std::vector<std::vector<T>>& send_blocks) {
-    const int p = nprocs();
-    HPFCG_REQUIRE(static_cast<int>(send_blocks.size()) == p,
-                  "neighbor_alltoallv: need one block per destination rank");
-    // Per-destination block sizes are private sender knowledge; only the
-    // kind and element size are conformable.
-    conform(check::CollectiveKind::kNeighborAlltoallv, check::kNoRoot,
-            sizeof(T), check::kUnknownCount);
-    trace::SpanScope span(trace_, trace::SpanKind::kAlltoallv, 0, 0,
-                          tree_depth());
-    if (trace_ != nullptr) {
-      std::uint64_t b = 0;
-      for (const auto& blk : send_blocks) b += blk.size() * sizeof(T);
-      span.set_bytes(b);
-    }
-    const int seq = next_collective();
-    std::vector<std::vector<T>> recv_blocks(static_cast<std::size_t>(p));
-    recv_blocks[static_cast<std::size_t>(rank_)] =
-        send_blocks[static_cast<std::size_t>(rank_)];
-    // Headers (and payloads, eagerly buffered) out first; the per-(src,tag)
-    // FIFO pairs each header with its payload on the shared tag.
-    for (int off = 1; off < p; ++off) {
-      const int dst = (rank_ + off) % p;
-      const auto& blk = send_blocks[static_cast<std::size_t>(dst)];
-      send_value<std::size_t>(dst, coll_tag(seq, off), blk.size());
-      if (!blk.empty()) {
-        send<T>(dst, coll_tag(seq, off),
-                std::span<const T>(blk.data(), blk.size()));
-      }
-    }
-    for (int off = 1; off < p; ++off) {
-      const int src = (rank_ - off + p) % p;
-      const auto n = recv_value<std::size_t>(src, coll_tag(seq, off));
-      if (n != 0) {
-        auto& blk = recv_blocks[static_cast<std::size_t>(src)];
-        blk.resize(n);
-        recv_into<T>(src, coll_tag(seq, off), std::span<T>(blk));
-      }
-    }
-    return recv_blocks;
-  }
-
   /// Exclusive prefix sum over ranks (rank 0 gets T{}).
   template <class T, class Op = std::plus<T>>
   T exscan(T value, Op op = {}) {
@@ -677,9 +627,9 @@ class Process {
             fingerprint);
   }
 
-  /// hpfcg::check hook for cached exchange executors (sparse::HaloPlan):
-  /// every rank entering a plan replay posts the plan's replicated topology
-  /// fingerprint under kHaloExchange, so a rank executing a stale plan —
+  /// hpfcg::check hook for cached exchange executors (sparse::HaloPlan,
+  /// the ext schedules): every rank entering a plan replay posts the
+  /// plan's replicated fingerprint under kHaloExchange, so a rank executing a stale plan —
   /// e.g. one not rebuilt after a redistribute — is named by the ledger
   /// instead of deadlocking on an orphaned recv.  No-op when checking is
   /// inactive.

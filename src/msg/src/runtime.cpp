@@ -46,18 +46,25 @@ void Runtime::run(const std::function<void(Process&)>& body) {
   threads.reserve(static_cast<std::size_t>(nprocs_));
   std::mutex err_mu;
   std::exception_ptr first_error;
+  std::exception_ptr ledger_error;
 
   for (int r = 0; r < nprocs_; ++r) {
-    threads.emplace_back([this, r, &body, &err_mu, &first_error] {
+    threads.emplace_back([this, r, &body, &err_mu, &first_error,
+                          &ledger_error] {
       Process proc(*this, r);
-      try {
-        body(proc);
-      } catch (...) {
+      const auto record = [&](std::exception_ptr& slot) {
         {
           std::lock_guard<std::mutex> lock(err_mu);
-          if (!first_error) first_error = std::current_exception();
+          if (!slot) slot = std::current_exception();
         }
         abort_all();
+      };
+      try {
+        body(proc);
+      } catch (const check::ConformanceError&) {
+        record(ledger_error);
+      } catch (...) {
+        record(first_error);
       }
     });
   }
@@ -121,6 +128,11 @@ void Runtime::run(const std::function<void(Process&)>& body) {
   // The watchdog's diagnosis is the root cause: the per-rank errors it
   // provoked by aborting ("runtime aborted while receiving") are secondary.
   if (watchdog_error) std::rethrow_exception(watchdog_error);
+  // So is the ledger's: a divergent rank's record waits for rank 0's, and
+  // meanwhile its wrong-length payload can make a neighbour's receive
+  // throw first.  Aborts only wake blocked ranks, so rank 0 still posts
+  // when it reaches the collective and the verdict arrives.
+  if (ledger_error) std::rethrow_exception(ledger_error);
   if (first_error) std::rethrow_exception(first_error);
 
   audit_teardown();

@@ -1,16 +1,17 @@
 #pragma once
 // Inspector/executor schedule for fetching scattered entries of a
-// contiguously distributed vector — the communication-schedule reuse of
-// Ponnusamy, Saltz and Choudhary that Section 5.1 of the paper builds on.
+// distributed vector — the communication-schedule reuse of Ponnusamy,
+// Saltz and Choudhary that Section 5.1 of the paper builds on.
 //
-// Each rank names, once, the global indices it wants, in ascending order;
-// position i of its destination buffer stands for source entry wanted[i].
-// Contiguous ownership makes each owner's share one run of that list, so
-// a peer's run lands in place and the rank copies its own run locally.
-// Receives are posted per source in ascending rank order, which fixes the
-// reverse summation order and keeps replays deterministic.  HaloPlan and
-// solvers::GridTransfer are both this plan; stats, spans and ledger
-// records stay with the callers.
+// Each rank names, once, the global indices it wants, grouped by
+// ascending owner rank; position i of its destination buffer stands for
+// source entry wanted[i].  The grouping makes each owner's share one run
+// of that list, so a peer's run lands in place and the rank copies its
+// own run locally.  Receives are posted per source in ascending rank
+// order, which fixes the reverse summation order and keeps replays
+// deterministic.  HaloPlan, solvers::GridTransfer, DistCsrGrid2D and the
+// ext gather/scatter-add schedules are all this plan; stats, spans and
+// ledger records stay with the callers.
 
 #include <algorithm>
 #include <cstddef>
@@ -32,56 +33,58 @@ class ExchangePlan {
     std::uint64_t bytes = 0;
   };
 
-  /// Collective inspector (one neighbor_alltoallv): every rank calls it
-  /// together.  `wanted` lists ascending global indices of a vector
-  /// distributed by the contiguous `owners`.
+  /// Collective inspector (one alltoallv of the request lists): every
+  /// rank calls it together.  `wanted` lists global indices of a vector
+  /// distributed by `owners`, grouped by ascending owner rank; within an
+  /// owner's run any order and repeats are allowed.
   void build(msg::Process& proc, std::span<const std::size_t> wanted,
              const hpf::Distribution& owners) {
-    HPFCG_REQUIRE(owners.contiguous(),
-                  "ExchangePlan: owner distribution must be contiguous");
-    HPFCG_REQUIRE(std::is_sorted(wanted.begin(), wanted.end()),
-                  "ExchangePlan: wanted indices must ascend");
     const int np = proc.nprocs();
     const int me = proc.rank();
-    const auto [lo, hi] = owners.local_range(me);
+    HPFCG_REQUIRE(owners.nprocs() == np,
+                  "ExchangePlan: owner map must span the machine");
     *this = ExchangePlan{};
 
     std::vector<std::vector<std::size_t>> requests(
         static_cast<std::size_t>(np));
-    std::size_t i = 0;
-    for (int r = 0; r < np && i < wanted.size(); ++r) {
-      const std::size_t rhi = owners.local_range(r).second;
-      const std::size_t begin = i;
-      while (i < wanted.size() && wanted[i] < rhi) ++i;
-      if (i == begin) continue;
-      if (r == me) {
-        self_begin_ = begin;
-        for (std::size_t j = begin; j < i; ++j) {
-          self_idx_.push_back(wanted[j] - lo);
+    int run = -1;  // owner of the run being extended
+    for (std::size_t i = 0; i < wanted.size(); ++i) {
+      const std::size_t g = wanted[i];
+      HPFCG_REQUIRE(g < owners.size(),
+                    "ExchangePlan: index outside every rank's range");
+      const int r = owners.owner(g);
+      if (r != run) {
+        HPFCG_REQUIRE(r > run,
+                      "ExchangePlan: wanted indices must be grouped by "
+                      "ascending owner rank");
+        run = r;
+        if (r == me) {
+          self_begin_ = i;
+        } else {
+          recv_peers_.push_back(Peer{r, i, 0});
         }
-        continue;
       }
-      recv_peers_.push_back(Peer{r, begin, i - begin});
-      requests[static_cast<std::size_t>(r)].assign(
-          wanted.begin() + static_cast<std::ptrdiff_t>(begin),
-          wanted.begin() + static_cast<std::ptrdiff_t>(i));
+      if (r == me) {
+        self_idx_.push_back(owners.local_index(g));
+      } else {
+        ++recv_peers_.back().count;
+        requests[static_cast<std::size_t>(r)].push_back(g);
+      }
     }
-    HPFCG_REQUIRE(i == wanted.size(),
-                  "ExchangePlan: index outside every rank's range");
 
     // The replies tell this rank which of its owned entries each peer
     // wants, in the order the peer's run expects them.
-    const auto replies = proc.neighbor_alltoallv<std::size_t>(requests);
+    const auto replies = proc.alltoallv<std::size_t>(requests);
     for (int r = 0; r < np; ++r) {
       if (r == me) continue;
       const auto& want = replies[static_cast<std::size_t>(r)];
       if (want.empty()) continue;
       send_peers_.push_back(Peer{r, send_idx_.size(), want.size()});
       for (const std::size_t g : want) {
-        HPFCG_REQUIRE(g >= lo && g < hi,
+        HPFCG_REQUIRE(g < owners.size() && owners.owner(g) == me,
                       "ExchangePlan: peer requested an entry this rank does "
                       "not own — ownership maps diverged");
-        send_idx_.push_back(g - lo);
+        send_idx_.push_back(owners.local_index(g));
       }
     }
   }
@@ -134,7 +137,7 @@ class ExchangePlan {
 
   /// Reverse executor, the transpose of gather: the entry wanted[i] names
   /// gets `partials[i]` added.  Runs travel back to their owners, which
-  /// add their own entries first, then each peer's in ascending rank.
+  /// add them in ascending source rank, their own run at their own place.
   template <class T>
   Traffic scatter_add(msg::Process& proc, int tag,
                       std::span<const T> partials, std::span<T> owned,
@@ -145,19 +148,23 @@ class ExchangePlan {
       t.bytes += pe.count * sizeof(T);
       ++t.msgs;
     }
-    std::uint64_t adds = self_idx_.size();
-    for (std::size_t k = 0; k < self_idx_.size(); ++k) {
-      owned[self_idx_[k]] += partials[self_begin_ + k];
-    }
-    for (const Peer& pe : send_peers_) {
+    const auto add_run = [&](const Peer& pe) {
       if (pack.size() < pe.count) pack.resize(pe.count);
       proc.recv_into<T>(pe.rank, tag, std::span<T>(pack.data(), pe.count));
       for (std::size_t j = 0; j < pe.count; ++j) {
         owned[send_idx_[pe.offset + j]] += pack[j];
       }
-      adds += pe.count;
+    };
+    const int me = proc.rank();
+    const auto above = std::partition_point(
+        send_peers_.begin(), send_peers_.end(),
+        [me](const Peer& pe) { return pe.rank < me; });
+    std::for_each(send_peers_.begin(), above, add_run);
+    for (std::size_t k = 0; k < self_idx_.size(); ++k) {
+      owned[self_idx_[k]] += partials[self_begin_ + k];
     }
-    proc.add_flops(adds);
+    std::for_each(above, send_peers_.end(), add_run);
+    proc.add_flops(self_idx_.size() + send_idx_.size());
     return t;
   }
 

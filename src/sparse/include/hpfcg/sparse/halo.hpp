@@ -9,10 +9,10 @@
 // declared immutable, the column footprint of each rank is a static
 // property — so an *inspector* pass can run once, compute exactly which
 // foreign x entries this rank needs (its ghost set), exchange the packed
-// index lists via one neighborhood personalized all-to-all, and remap the
-// local column indices into a compact [owned | ghost] numbering.  The
-// per-sweep *executor* then posts O(boundary) point-to-point messages from
-// the cached plan instead of rebuilding an O(n) replicated vector.  Both
+// index lists via one personalized all-to-all, and remap the local column
+// indices into a compact [owned | ghost] numbering.  The per-sweep
+// *executor* then posts O(boundary) point-to-point messages from the
+// cached plan instead of rebuilding an O(n) replicated vector.  Both
 // halves are a sparse::ExchangePlan whose wanted list is the ghost set.
 //
 // Plan lifecycle:
@@ -83,7 +83,7 @@ class HaloPlan {
   /// Collective inspector: the ghost set is the sorted, deduplicated union
   /// of the foreign entries of `cols` (global numbering) under the
   /// contiguous row distribution.  Every rank must call it together (it
-  /// runs a neighbor_alltoallv + allgatherv).
+  /// runs an alltoallv + allgatherv).
   void build(msg::Process& proc, std::span<const std::size_t> cols,
              const hpf::Distribution& row_dist) {
     HPFCG_REQUIRE(row_dist.contiguous(),

@@ -47,9 +47,10 @@ enum class SpanKind : std::uint8_t {
   // data migration (sparse::redistribute / hpf::redistribute callers):
   // bytes = payload this rank shipped, a = destination count
   kRedistribute,
-  // sparse halo executor (sparse::HaloPlan): one cached ghost exchange;
-  // bytes = payload this rank sent, a = neighbor count, aux = 1 for the
-  // reverse (transpose scatter/accumulate) direction
+  // any cached exchange-plan replay (sparse::HaloPlan, DistCsrGrid2D, the
+  // ext gather/scatter-add schedules); bytes = payload this rank sent,
+  // a = neighbor count, aux = 1 for the reverse (scatter-add) direction
+  // (HaloPlan: 2 for a pipelined Gauss-Seidel sweep)
   kHalo,
   // legacy O(n) gather (DistributedVector::to_global): bytes = full vector
   kGatherFull,

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "hpfcg/check/check.hpp"
@@ -114,6 +116,22 @@ TEST(CheckCollectiveConformance, MismatchedBatchWidthNamesDivergentRank) {
   EXPECT_NE(msg.find("allreduce_batch"), std::string::npos) << msg;
   EXPECT_NE(msg.find("count=3"), std::string::npos) << msg;
   EXPECT_NE(msg.find("count=2"), std::string::npos) << msg;
+}
+
+TEST(CheckCollectiveConformance, DivergenceNamedEvenWhenRankZeroPostsLast) {
+  // Rank 0 enters late, so rank 2's record waits while its tree child's
+  // 2-value payload reaches its 3-value receive and throws a length
+  // mismatch first; the ledger's verdict must still be what run() reports.
+  const std::string msg = failure_message(4, [](Process& p) {
+    if (p.rank() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    std::vector<double> vals(p.rank() == 2 ? 3 : 2, 1.0);
+    p.allreduce_batch<double>(vals);
+  });
+  EXPECT_NE(msg.find("collective conformance violation"), std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find("rank 2"), std::string::npos) << msg;
 }
 
 TEST(CheckCollectiveConformance, MismatchedReduceBatchRootNamesRank) {

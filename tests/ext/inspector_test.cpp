@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -76,6 +78,48 @@ TEST_P(InspectorTest, ScatterAddMatchesSerialAccumulation) {
     const auto full = y.to_global();
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_DOUBLE_EQ(full[i], expect[i]) << "i=" << i;
+    }
+  });
+}
+
+TEST_P(InspectorTest, ScatterAddSumsInAscendingSourceRank) {
+  // Every rank, the owner included, adds three times into every element of
+  // y, with magnitudes spread over 2^±30 and both signs so the summation
+  // order shows in the rounding: the result must bit-equal the serial sum
+  // over source ranks in ascending order, each in its local order.
+  const int np = GetParam();
+  const std::size_t ny = 2 * static_cast<std::size_t>(np) + 1;
+  const std::size_t per_rank = 3 * ny;
+  const std::size_t m = per_rank * static_cast<std::size_t>(np);
+  const auto target = [&](std::size_t i) { return (i % per_rank) * 2 % ny; };
+  const auto contrib = [](std::size_t i) {
+    std::uint64_t h = (i + 1) * 0x9E3779B97F4A7C15ULL;
+    h ^= h >> 29;
+    const double mant = 1.0 + static_cast<double>(h % 1000) / 1000.0;
+    const int expo = static_cast<int>((h >> 12) % 61) - 30;
+    return ((h >> 40) & 1U ? -1.0 : 1.0) * std::ldexp(mant, expo);
+  };
+  std::vector<double> expect(ny);
+  for (std::size_t g = 0; g < ny; ++g) {
+    expect[g] = 0.5 * static_cast<double>(g);
+  }
+  for (std::size_t i = 0; i < m; ++i) expect[target(i)] += contrib(i);
+
+  run_spmd(np, [&](Process& p) {
+    auto src_dist = share(Distribution::block(m, np));
+    auto y_dist = share(Distribution::block(ny, np));
+    DistributedVector<std::size_t> idx(p, src_dist);
+    DistributedVector<double> x(p, src_dist), y(p, y_dist);
+    idx.set_from(target);
+    x.set_from(contrib);
+    y.set_from([](std::size_t g) { return 0.5 * static_cast<double>(g); });
+
+    ScatterAddSchedule<double> sched(p, idx, y_dist);
+    sched.execute(x, y);
+
+    const auto full = y.to_global();
+    for (std::size_t g = 0; g < ny; ++g) {
+      EXPECT_EQ(full[g], expect[g]) << "g=" << g;
     }
   });
 }

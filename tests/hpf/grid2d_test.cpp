@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "hpfcg/hpf/grid2d.hpp"
@@ -135,6 +137,51 @@ TEST_P(Grid2DMatvecTest, ResultRedistributesBackToVectorDist) {
     const auto f2 = q2.to_global();
     for (std::size_t i = 0; i < n; ++i) EXPECT_DOUBLE_EQ(f1[i], f2[i]);
   });
+}
+
+TEST_P(Grid2DMatvecTest, BlockOperandOffTheGridMapThrowsOnEveryRank) {
+  // A BLOCK vector is the grid's own map only on a one-column grid; on any
+  // other grid matvec must refuse a BLOCK p, and separately a BLOCK q, on
+  // every rank.  n = 121 keeps BLOCK off both grid maps on every grid here
+  // with more than one column.
+  const int np = GetParam();
+  const std::size_t n = 121;
+  std::vector<double> q_ref(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) q_ref[i] += entry(i, j) * pval(j);
+  }
+  const bool one_column = Grid2D::squarest(np).pc() == 1;
+  std::atomic<int> throws{0};
+  run_spmd(np, [&](Process& proc) {
+    DenseGrid2DMatrix<double> a(proc, Grid2D::squarest(np), n);
+    a.set_from(entry);
+    const auto block =
+        std::make_shared<const Distribution>(Distribution::block(n, np));
+    EXPECT_EQ(*block == *a.vector_dist(), one_column);
+    EXPECT_EQ(*block == *a.result_dist(), one_column);
+    DistributedVector<double> p(proc, a.vector_dist());
+    DistributedVector<double> q(proc, a.result_dist());
+    DistributedVector<double> pb(proc, block);
+    DistributedVector<double> qb(proc, block);
+    p.set_from(pval);
+    pb.set_from(pval);
+    for (const auto& [pp, qq] : {std::pair{&pb, &q}, std::pair{&p, &qb}}) {
+      if (one_column) {
+        a.matvec(*pp, *qq);
+        const auto full = qq->to_global();
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_NEAR(full[i], q_ref[i], 1e-9);
+        }
+        continue;
+      }
+      try {
+        a.matvec(*pp, *qq);
+      } catch (const hpfcg::util::Error&) {
+        ++throws;
+      }
+    }
+  });
+  EXPECT_EQ(throws.load(), one_column ? 0 : 2 * np);
 }
 
 INSTANTIATE_TEST_SUITE_P(MachineSizes, Grid2DMatvecTest,

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "hpfcg/hpf/redistribute.hpp"
@@ -91,6 +92,51 @@ TEST_P(SparseGrid2DTest, CgWithPerIterationRedistributionSolves) {
     const auto full = x.to_global();
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(full[i], x_ref[i], 1e-6);
   });
+}
+
+TEST_P(SparseGrid2DTest, BlockOperandOffTheGridMapThrowsOnEveryRank) {
+  // A BLOCK vector is the grid's own map only on a one-column grid; on any
+  // other grid matvec must refuse a BLOCK p, and separately a BLOCK q, on
+  // every rank instead of multiplying the wrong entries.  The 11x11
+  // Laplacian keeps BLOCK off both grid maps on every grid here with more
+  // than one column.
+  const int np = GetParam();
+  const auto a = sp::laplacian_2d(11, 11);
+  const std::size_t n = a.n_rows();
+  std::vector<double> p_full(n), q_ref(n);
+  for (std::size_t g = 0; g < n; ++g) p_full[g] = pval(g);
+  a.matvec(p_full, q_ref);
+  const bool one_column = Grid2D::squarest(np).pc() == 1;
+  std::atomic<int> throws{0};
+  run_spmd(np, [&](Process& proc) {
+    sp::DistCsrGrid2D<double> mat(proc, a, Grid2D::squarest(np));
+    const auto block =
+        std::make_shared<const Distribution>(Distribution::block(n, np));
+    EXPECT_EQ(*block == *mat.vector_dist(), one_column);
+    EXPECT_EQ(*block == *mat.result_dist(), one_column);
+    DistributedVector<double> p(proc, mat.vector_dist());
+    DistributedVector<double> q(proc, mat.result_dist());
+    DistributedVector<double> pb(proc, block);
+    DistributedVector<double> qb(proc, block);
+    p.from_global(p_full);
+    pb.from_global(p_full);
+    for (const auto& [pp, qq] : {std::pair{&pb, &q}, std::pair{&p, &qb}}) {
+      if (one_column) {
+        mat.matvec(*pp, *qq);
+        const auto full = qq->to_global();
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_NEAR(full[i], q_ref[i], 1e-12);
+        }
+        continue;
+      }
+      try {
+        mat.matvec(*pp, *qq);
+      } catch (const hpfcg::util::Error&) {
+        ++throws;
+      }
+    }
+  });
+  EXPECT_EQ(throws.load(), one_column ? 0 : 2 * np);
 }
 
 INSTANTIATE_TEST_SUITE_P(MachineSizes, SparseGrid2DTest,
