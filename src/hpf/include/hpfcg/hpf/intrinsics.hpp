@@ -16,7 +16,6 @@
 #include <cmath>
 #include <limits>
 #include <span>
-#include <vector>
 
 #include "hpfcg/hpf/dist_vector.hpp"
 #include "hpfcg/repro/superacc.hpp"
@@ -92,7 +91,7 @@ void dot_products(std::span<const DotPair<T>> pairs, std::span<T> out) {
       // Exact local accumulation per pair, one exact batched merge: still
       // a single tree walk, and each dot is bit-identical to its scalar
       // repro dot_product for any NP and any block cuts.
-      std::vector<repro::Superacc> accs(pairs.size());
+      const auto accs = proc.exact_accumulators(pairs.size());
       std::uint64_t rflops = 0;
       for (std::size_t i = 0; i < pairs.size(); ++i) {
         const auto& x = *pairs[i].x;
@@ -102,7 +101,7 @@ void dot_products(std::span<const DotPair<T>> pairs, std::span<T> out) {
         rflops += 2 * x.local().size();
       }
       proc.add_flops(rflops);
-      proc.allreduce_acc(std::span<repro::Superacc>(accs));
+      proc.allreduce_acc(accs);
       for (std::size_t i = 0; i < pairs.size(); ++i) {
         out[i] = static_cast<T>(accs[i].round());
       }

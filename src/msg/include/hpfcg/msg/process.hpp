@@ -346,6 +346,14 @@ class Process {
                    });
   }
 
+  /// `k` zeroed exact accumulators from a per-process buffer that only
+  /// grows, so the repro mode's merges allocate nothing in steady state.
+  /// The span stays valid until the next call.
+  std::span<repro::Superacc> exact_accumulators(std::size_t k) {
+    exact_accs_.assign(k, repro::Superacc{});
+    return exact_accs_;
+  }
+
   /// Allocations taken by the reusable vector-collective receive scratch
   /// (the element-wise tree levels of the batch, vector and exact
   /// reductions): backs the regression test that the per-level receive
@@ -748,19 +756,18 @@ class Process {
   /// The reproducible mode's re-route of a floating-point sum: lift each
   /// value into an exact accumulator, merge them with allreduce_acc, and
   /// round back.  Returns false, touching nothing, for any other reduction
-  /// or with the mode off.  The accumulators live in a per-process buffer
-  /// that only grows, so a steady-state solve allocates nothing here.
+  /// or with the mode off.
   template <class T, class Op>
   bool allreduce_exact(std::span<T> vals) {
     if constexpr (std::is_floating_point_v<T> && detail::kIsPlus<T, Op>) {
       if (!repro_active()) return false;
-      exact_accs_.assign(vals.size(), repro::Superacc{});
+      const auto accs = exact_accumulators(vals.size());
       for (std::size_t i = 0; i < vals.size(); ++i) {
-        exact_accs_[i].add(static_cast<double>(vals[i]));
+        accs[i].add(static_cast<double>(vals[i]));
       }
-      allreduce_acc(exact_accs_);
+      allreduce_acc(accs);
       for (std::size_t i = 0; i < vals.size(); ++i) {
-        vals[i] = static_cast<T>(exact_accs_[i].round());
+        vals[i] = static_cast<T>(accs[i].round());
       }
       return true;
     } else {

@@ -2,6 +2,9 @@
 // Distributed solver family over the HPF layer — the lowered form of the
 // paper's Figure 2 CG code and its Section 2.1 relatives.
 //
+// Each solver is written once, here: the serial names of serial.hpp run
+// these texts on a one-rank machine.
+//
 // Every solver is matrix-format agnostic: it takes the matrix as a
 // distributed linear operator (a callable computing q = A*p on aligned
 // distributed vectors), so the same solver text runs over dense row-wise,
@@ -153,8 +156,7 @@ SolveResult cg_dist(const DistOp<T>& a, const hpf::DistributedVector<T>& b,
 /// cg_dist's two scalar merges.  alpha comes from the recurrence
 /// alpha = gamma_new / (delta - beta*gamma_new/alpha) instead of (p, A p),
 /// at the price of one extra matvec at start-up and one extra vector
-/// s = A p maintained by saypx.  Iterates match the serial cg_fused()
-/// reference (same recurrence; only the merge's reduction order differs).
+/// s = A p maintained by saypx.
 template <class T>
 SolveResult cg_fused_dist(const DistOp<T>& a,
                           const hpf::DistributedVector<T>& b,
@@ -289,7 +291,7 @@ SolveResult pcg_dist(const DistOp<T>& a, const DistPrec<T>& m_inv,
 /// Communication-avoiding preconditioned CG: ONE three-wide merge per
 /// iteration — {(r,u), (w,u), (r,r)} with u = M^{-1} r, w = A u — against
 /// pcg_dist's three scalar merges.  The (r,r) convergence norm rides the
-/// batch for free.  Iterates match the serial pcg_fused() reference.
+/// batch for free.
 template <class T>
 SolveResult pcg_fused_dist(const DistOp<T>& a, const DistPrec<T>& m_inv,
                            const hpf::DistributedVector<T>& b,
@@ -514,8 +516,7 @@ SolveResult bicgstab_dist(const DistOp<T>& a,
 /// batch {(t,s), (t,t), (s,s)} after the second, then {(r,r), (rt,r)}
 /// where next iteration's shadow product rides with the convergence norm.
 /// The s-norm early exit moves after the second matvec (costing one extra
-/// matvec in the final iteration only); iterates match the serial
-/// bicgstab_fused() reference.
+/// matvec in the final iteration only).
 template <class T>
 SolveResult bicgstab_fused_dist(const DistOp<T>& a,
                                 const hpf::DistributedVector<T>& b,

@@ -26,7 +26,8 @@ struct GmresOptions {
 
 /// Matrix-free restarted GMRES.  Works for any nonsingular A (not just
 /// SPD).  `x` carries the initial guess in and the solution out.
-/// SolveResult::iterations counts total inner (Arnoldi) steps.
+/// SolveResult::iterations counts total inner (Arnoldi) steps.  Runs
+/// gmres_dist (dist_gmres.hpp) on a one-rank machine.
 SolveResult gmres(const MatVec& a, std::span<const double> b,
                   std::span<double> x, const GmresOptions& opts = {});
 

@@ -1,8 +1,12 @@
 #pragma once
-// Serial reference implementations of the Section 2 solver family.
+// Serial names of the Section 2 solver family, over spans.
 //
-// These are the ground truth the distributed solvers are verified against,
-// and the single-processor baselines of the benchmarks:
+// Each name runs its distributed text (dist_solvers.hpp) on a one-rank
+// machine, so a serial solve has the bits of the distributed solve at
+// NP = 1, and under HPFCG_REPRO those of every NP whose operator is
+// NP-invariant.  They are the single-processor baselines of the benchmarks,
+// not an independent oracle: dense_direct.hpp and the crafted-spectrum
+// tests are.
 //   cg        — classic non-preconditioned Conjugate Gradient (the paper's
 //               Section 2 pseudo-code);
 //   pcg       — preconditioned CG (Jacobi or SSOR, preconditioner.hpp);
@@ -39,9 +43,7 @@ SolveResult cg(const sparse::Csr<double>& a, std::span<const double> b,
 /// (w,r) with w = A r — are computed back to back and can be merged in ONE
 /// collective in the distributed version (cg_fused_dist).  alpha is updated
 /// by recurrence instead of from (p, A p); the price is one extra matvec at
-/// start-up and one extra recurrence vector s = A p.  This serial form is
-/// the bitwise ground truth the distributed fused solver is verified
-/// against (same recurrence, only the reduction order differs).
+/// start-up and one extra recurrence vector s = A p.
 SolveResult cg_fused(const MatVec& a, std::span<const double> b,
                      std::span<double> x, const SolveOptions& opts = {});
 SolveResult cg_fused(const sparse::Csr<double>& a, std::span<const double> b,
@@ -57,8 +59,7 @@ SolveResult pcg(const sparse::Csr<double>& a, const PrecApply& m_inv,
 
 /// Chronopoulos–Gear preconditioned CG: one fused group of three inner
 /// products — (r,u), (w,u), (r,r) with u = M^{-1} r, w = A u — per
-/// iteration, against pcg()'s three separate merges.  Serial ground truth
-/// for pcg_fused_dist.
+/// iteration, against pcg()'s three separate merges.
 SolveResult pcg_fused(const MatVec& a, const PrecApply& m_inv,
                       std::span<const double> b, std::span<double> x,
                       const SolveOptions& opts = {});
@@ -92,7 +93,7 @@ SolveResult bicgstab(const sparse::Csr<double>& a, std::span<const double> b,
 /// product for the NEXT iteration rides along with the convergence norm.
 /// The s-norm early exit moves after the second matvec (one extra matvec
 /// in the final iteration only); iterates are otherwise identical to
-/// bicgstab().  Serial ground truth for bicgstab_fused_dist.
+/// bicgstab().
 SolveResult bicgstab_fused(const MatVec& a, std::span<const double> b,
                            std::span<double> x, const SolveOptions& opts = {});
 SolveResult bicgstab_fused(const sparse::Csr<double>& a,

@@ -27,6 +27,7 @@ SolveResult jacobi_iteration(const sparse::Csr<double>& a,
                              const SolveOptions& opts = {});
 
 /// Matrix-free serial Jacobi iteration: `diag` is A's (nonzero) diagonal.
+/// Runs jacobi_iteration_dist on a one-rank machine with 1/diag.
 SolveResult jacobi_iteration(const MatVec& a, std::span<const double> diag,
                              std::span<const double> b, std::span<double> x,
                              const SolveOptions& opts = {});

@@ -42,29 +42,6 @@ std::vector<double> nonzero_diagonal(const sparse::Csr<double>& a,
 
 }  // namespace
 
-SolveResult jacobi_iteration(const MatVec& a, std::span<const double> diag,
-                             std::span<const double> b, std::span<double> x,
-                             const SolveOptions& opts) {
-  HPFCG_REQUIRE(b.size() == x.size() && diag.size() == b.size(),
-                "jacobi_iteration: dimension mismatch");
-  const std::size_t n = b.size();
-  SolveResult res;
-  double bnorm = 0.0;
-  for (const double v : b) bnorm += v * v;
-  bnorm = std::sqrt(bnorm);
-  const double stop = opts.rel_tolerance * (bnorm > 0.0 ? bnorm : 1.0);
-
-  std::vector<double> q(n);
-  for (std::size_t k = 0; k < opts.max_iterations; ++k) {
-    const double rnorm = residual_norm(a, x, b, q);
-    res.iterations = k;
-    if (detail::record_exit(res, opts, rnorm, bnorm, stop)) return res;
-    // q currently holds A x; x_i += (b_i - (Ax)_i) / d_i.
-    for (std::size_t i = 0; i < n; ++i) x[i] += (b[i] - q[i]) / diag[i];
-  }
-  return res;
-}
-
 SolveResult jacobi_iteration(const sparse::Csr<double>& a,
                              std::span<const double> b, std::span<double> x,
                              const SolveOptions& opts) {

@@ -1,10 +1,14 @@
-// Distributed solvers must reproduce the serial reference results for every
-// machine size and every matvec kernel (dense row/col, CSR, CSC private).
+// Distributed solves must match the serial names for every machine size and
+// every matvec kernel (dense row/col, CSR, CSC private): to tolerance in
+// plain mode, and bit for bit at NP = 1 and under HPFCG_REPRO, because a
+// serial name runs the same solver text on one rank.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -14,6 +18,7 @@
 #include <vector>
 
 #include "hpfcg/hpf/matvec_dense.hpp"
+#include "hpfcg/repro/repro.hpp"
 #include "hpfcg/solvers/dist_gmres.hpp"
 #include "hpfcg/solvers/dist_solvers.hpp"
 #include "hpfcg/solvers/preconditioner.hpp"
@@ -485,6 +490,99 @@ INSTANTIATE_TEST_SUITE_P(
                                          "cgs", "gmres"),
                        ::testing::Values(kSerial, 1, 4)),
     exit_case_name);
+
+// ---- one solver text -------------------------------------------------------
+
+/// Residual signature and solution of one tracked solve.
+struct Pinned {
+  std::uint64_t signature = 0;
+  std::vector<std::uint64_t> x_bits;
+};
+
+/// Solves A x = b from x = 0 with the named solver, tracking the residual
+/// history: the serial name on machine column kSerial, the distributed text
+/// on `np` ranks otherwise.  A must be symmetric: BiCG gets A's forward
+/// product as A^T on both sides, because DistCsr::matvec_transpose adds the
+/// ghost contributions in an NP-dependent order.
+Pinned pinned_solve(const std::string& solver, int np,
+                    const sp::Csr<double>& a,
+                    const std::vector<double>& b_full) {
+  const sv::SolveOptions opts{.max_iterations = 500,
+                              .rel_tolerance = 1e-10,
+                              .track_residuals = true};
+  const auto diag = a.diagonal();
+  const auto pin = [](const sv::SolveResult& res,
+                      const std::vector<double>& x) {
+    Pinned p{res.residual_signature(), {}};
+    for (const double v : x) {
+      p.x_bits.push_back(std::bit_cast<std::uint64_t>(v));
+    }
+    return p;
+  };
+  if (np == kSerial) {
+    const sv::MatVec op = [&](std::span<const double> p, std::span<double> q) {
+      a.matvec(p, q);
+    };
+    std::vector<double> x(a.n_rows(), 0.0);
+    const auto res = run_named_serial(solver, op, op, diag, b_full, x, opts);
+    return pin(res, x);
+  }
+  Pinned out;
+  run_spmd(np, [&](Process& proc) {
+    auto dist = share(Distribution::block(a.n_rows(), proc.nprocs()));
+    auto mat = sp::DistCsr<double>::row_aligned(proc, a, dist);
+    DistributedVector<double> b(proc, dist), x(proc, dist),
+        inv_diag(proc, dist);
+    b.from_global(b_full);
+    inv_diag.set_from([&](std::size_t g) { return 1.0 / diag[g]; });
+    const sv::DistOp<double> op = [&](const DistributedVector<double>& p,
+                                      DistributedVector<double>& q) {
+      mat.matvec(p, q);
+    };
+    const auto res = run_named_solver(solver, op, op, inv_diag, b, x, opts);
+    const auto full = x.to_global();
+    if (proc.rank() == 0) out = pin(res, full);
+  });
+  return out;
+}
+
+class OneSolverTextTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  // Symmetric and strictly diagonally dominant, so every name converges,
+  // Jacobi included.
+  const sp::Csr<double> a_ = sp::random_spd(60, 5, 141);
+  const std::vector<double> b_ = sp::random_rhs(60, 142);
+};
+
+TEST_P(OneSolverTextTest, SerialNameIsTheDistributedTextOnOneRank) {
+  hpfcg::repro::ScopedEnable plain(false);
+  const auto serial = pinned_solve(GetParam(), kSerial, a_, b_);
+  const auto dist = pinned_solve(GetParam(), 1, a_, b_);
+  EXPECT_EQ(serial.signature, dist.signature);
+  EXPECT_EQ(serial.x_bits, dist.x_bits);
+}
+
+TEST_P(OneSolverTextTest, ReproSerialNameMatchesEveryMachineSize) {
+  // Exact reductions make the distributed text's bits NP-invariant for a
+  // row-wise operator, and the serial name is that text: its signature and
+  // solution equal the distributed solve's at every machine size.
+  if (!hpfcg::repro::kCompiled) GTEST_SKIP() << "repro mode compiled out";
+  hpfcg::repro::ScopedEnable on;
+  const auto serial = pinned_solve(GetParam(), kSerial, a_, b_);
+  for (const int np : test_machine_sizes()) {
+    const auto dist = pinned_solve(GetParam(), np, a_, b_);
+    EXPECT_EQ(serial.signature, dist.signature) << "np=" << np;
+    EXPECT_EQ(serial.x_bits, dist.x_bits) << "np=" << np;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Solvers, OneSolverTextTest,
+    ::testing::Values("cg", "cg_fused", "pcg", "pcg_fused", "bicg",
+                      "bicgstab", "bicgstab_fused", "cgs", "gmres", "jacobi"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 TEST(ZeroRhs, SerialAndDistAgreeOnAbsoluteResidualBranch) {
   // b = 0 switches the stopping rule to an ABSOLUTE residual (the

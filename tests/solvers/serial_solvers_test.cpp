@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "hpfcg/solvers/dense_direct.hpp"
+#include "hpfcg/solvers/gmres.hpp"
 #include "hpfcg/solvers/preconditioner.hpp"
 #include "hpfcg/solvers/serial.hpp"
 #include "hpfcg/sparse/generators.hpp"
@@ -90,6 +94,38 @@ TEST_F(SerialSolversTest, BicgstabSolvesSpdSystems) {
     const auto res = sv::bicgstab(prob.a, prob.b, x, {.rel_tolerance = 1e-10});
     EXPECT_TRUE(res.converged);
     EXPECT_LT(max_err(x, prob.x_ref), 1e-6);
+  }
+}
+
+TEST_F(SerialSolversTest, EveryOtherRecurrenceMatchesCholesky) {
+  // The recurrences without a Cholesky check above: fused CG, PCG and fused
+  // PCG with Jacobi, fused BiCGSTAB and GMRES(30).
+  const sv::SolveOptions opts{.rel_tolerance = 1e-12};
+  for (const auto& prob : problems_) {
+    const auto jacobi = sv::jacobi_preconditioner(prob.a);
+    using Solve = std::function<sv::SolveResult(std::span<double>)>;
+    const std::vector<std::pair<const char*, Solve>> solvers{
+        {"cg_fused",
+         [&](auto x) { return sv::cg_fused(prob.a, prob.b, x, opts); }},
+        {"pcg",
+         [&](auto x) { return sv::pcg(prob.a, jacobi, prob.b, x, opts); }},
+        {"pcg_fused",
+         [&](auto x) {
+           return sv::pcg_fused(prob.a, jacobi, prob.b, x, opts);
+         }},
+        {"bicgstab_fused",
+         [&](auto x) { return sv::bicgstab_fused(prob.a, prob.b, x, opts); }},
+        {"gmres",
+         [&](auto x) {
+           return sv::gmres(prob.a, prob.b, x, {.base = opts, .restart = 30});
+         }},
+    };
+    for (const auto& [name, solve] : solvers) {
+      std::vector<double> x(prob.b.size(), 0.0);
+      const auto res = solve(x);
+      EXPECT_TRUE(res.converged) << name;
+      EXPECT_LT(max_err(x, prob.x_ref), 1e-8) << name;
+    }
   }
 }
 
