@@ -38,21 +38,17 @@ class ConformanceError : public util::Error {
 enum class CollectiveKind : std::uint8_t {
   kBarrier,
   kBroadcast,
-  kReduce,
   kAllreduceVec,
-  /// Fused multi-value collectives: `count` is the batch width, so a rank
-  /// diverging on how many scalars it fused is named by the ledger.
+  /// Fused multi-value all-reduce (and the scalar one, a width-1 batch):
+  /// `count` is the batch width, so a rank diverging on how many scalars
+  /// it fused is named by the ledger.
   kAllreduceBatch,
-  kReduceBatch,
   kAllgatherv,
-  kGatherv,
-  kScatterv,
   kAlltoallv,
   /// Cached exchange-plan replay (sparse::HaloPlan, the ext schedules):
   /// `count` carries a replicated fingerprint of the plan, so a rank
   /// executing a stale or divergent plan is named by the ledger.
   kHaloExchange,
-  kExscan,
   kSequential,
   /// Reproducible-mode sum reduction (hpfcg::repro): the exact
   /// superaccumulator all-reduce that replaces the float merge tree.

@@ -10,16 +10,11 @@ const char* to_string(CollectiveKind k) {
   switch (k) {
     case CollectiveKind::kBarrier: return "barrier";
     case CollectiveKind::kBroadcast: return "broadcast";
-    case CollectiveKind::kReduce: return "reduce";
     case CollectiveKind::kAllreduceVec: return "allreduce_vec";
     case CollectiveKind::kAllreduceBatch: return "allreduce_batch";
-    case CollectiveKind::kReduceBatch: return "reduce_batch";
     case CollectiveKind::kAllgatherv: return "allgatherv";
-    case CollectiveKind::kGatherv: return "gatherv";
-    case CollectiveKind::kScatterv: return "scatterv";
     case CollectiveKind::kAlltoallv: return "alltoallv";
     case CollectiveKind::kHaloExchange: return "halo_exchange";
-    case CollectiveKind::kExscan: return "exscan";
     case CollectiveKind::kSequential: return "sequential";
     case CollectiveKind::kReproReduce: return "repro_reduce";
     case CollectiveKind::kReplicatedBuild: return "replicated_build";

@@ -116,24 +116,6 @@ class DistributedVector {
     return full;
   }
 
-  /// Collective: gather the vector to `root` only (global order there,
-  /// empty elsewhere).
-  [[nodiscard]] std::vector<T> to_root(int root) const {
-    std::vector<T> gathered;
-    proc_->gatherv<T>(root, local(), gathered, dist_->counts());
-    if (proc_->rank() != root) return {};
-    if (dist_->contiguous()) return gathered;
-    std::vector<T> full(size());
-    std::size_t pos = 0;
-    for (int r = 0; r < proc_->nprocs(); ++r) {
-      const std::size_t cnt = dist_->local_count(r);
-      for (std::size_t l = 0; l < cnt; ++l) {
-        full[dist_->global_index(r, l)] = gathered[pos++];
-      }
-    }
-    return full;
-  }
-
  private:
   [[noreturn]] void ownership_fail(std::size_t g, bool write) const {
     if (check::kCompiled && check::enabled()) {

@@ -151,9 +151,6 @@ class Mailbox {
   /// return it.  Throws util::Error if the runtime aborted.
   Envelope receive(int src, int tag);
 
-  /// Non-blocking variant: returns true and fills `out` if a match exists.
-  bool try_receive(int src, int tag, Envelope& out);
-
   /// Return a consumed envelope's payload buffer to the freelist (called
   /// by the receiving thread after copying the payload out).
   void recycle(Envelope&& env);

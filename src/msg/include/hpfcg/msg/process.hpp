@@ -181,33 +181,9 @@ class Process {
     if (h != nullptr) h->end_wait(rank_);
   }
 
-  /// Binomial-tree broadcast: `buf` is input on `root`, output elsewhere.
-  template <class T>
-  void broadcast(int root, std::vector<T>& buf) {
-    // Non-root ranks cannot know the length (it travels in the header), so
-    // the fingerprint pins it only on the root.
-    conform(check::CollectiveKind::kBroadcast, root, sizeof(T),
-            rank_ == root ? buf.size() : check::kUnknownCount);
-    trace::SpanScope span(trace_, trace::SpanKind::kBroadcast,
-                          static_cast<std::uint32_t>(root),
-                          buf.size() * sizeof(T), tree_depth());
-    const int seq = next_collective();
-    // Length travels in the same tree pass as a tiny header message.
-    tree_bcast(
-        root,
-        [&](int parent) {
-          buf.resize(recv_value<std::size_t>(parent, coll_tag(seq, 0)));
-          recv_into<T>(parent, coll_tag(seq, 1), buf);
-          span.set_bytes(buf.size() * sizeof(T));
-        },
-        [&](int child) {
-          send_value<std::size_t>(child, coll_tag(seq, 0), buf.size());
-          send<T>(child, coll_tag(seq, 1), buf);
-        });
-  }
-
-  /// Binomial-tree broadcast of a fixed-size buffer (size known on every
-  /// rank, so no length header travels — one message per tree edge).
+  /// Binomial-tree broadcast of a fixed-size buffer: `buf` is input on
+  /// `root`, output elsewhere.  The size is known on every rank, so one
+  /// message travels per tree edge.
   template <class T>
   void broadcast_into(int root, std::span<T> buf) {
     conform(check::CollectiveKind::kBroadcast, root, sizeof(T), buf.size());
@@ -222,40 +198,21 @@ class Process {
         });
   }
 
-  /// Broadcast a single value from `root` and return it everywhere.
-  template <class T>
-  T broadcast_value(int root, T v) {
-    broadcast_into<T>(root, std::span<T>(&v, 1));
-    return v;
-  }
+  // ---- all-reductions --------------------------------------------------
+  // Every merge takes one body (allreduce_body): up the rank-order binomial
+  // tree to rank 0, then back down it.  A batch of k scalars pays the
+  // per-hop start-up — the paper's dominant `t_startup · log NP` term —
+  // once instead of k times, and since a scalar all-reduce is a width-1
+  // batch, the batch is bit-identical to k scalar all-reduces.  With the
+  // reproducible mode on, floating-point sums route through the exact
+  // superaccumulator merge instead (see allreduce_acc), so the result is
+  // the correctly rounded exact sum — identical for every NP and tree.
 
-  /// Binomial-tree reduction of one value to `root` (valid only there).
-  template <class T, class Op = std::plus<T>>
-  T reduce(int root, T value, Op op = {}) {
-    conform(check::CollectiveKind::kReduce, root, sizeof(T), 1);
-    trace::SpanScope span(trace_, trace::SpanKind::kReduce, 1, sizeof(T),
-                          tree_depth());
-    const int seq = next_collective();
-    note_reduction(1);
-    tree_reduce(
-        root,
-        [&](int child) {
-          value = op(value, recv_value<T>(child, coll_tag(seq, 0)));
-        },
-        [&](int parent) { send_value<T>(parent, coll_tag(seq, 0), value); });
-    return value;
-  }
-
-  /// All-reduce of one value: reduce to rank 0 then broadcast.  With the
-  /// reproducible mode on, floating-point sums route through the exact
-  /// superaccumulator merge instead (see allreduce_acc), so the result is
-  /// the correctly rounded exact sum — identical for every NP and tree.
+  /// All-reduce of one value under `op`: a width-1 allreduce_batch.
   template <class T, class Op = std::plus<T>>
   T allreduce(T value, Op op = {}) {
-    if (allreduce_exact<T, Op>(std::span<T>(&value, 1))) return value;
-    race_fence("allreduce");
-    value = reduce<T, Op>(0, value, op);
-    return broadcast_value<T>(0, value);
+    allreduce_batch<T, Op>(std::span<T>(&value, 1), op);
+    return value;
   }
 
   /// Element-wise all-reduce of equal-length vectors on every rank.
@@ -263,47 +220,24 @@ class Process {
   template <class T, class Op = std::plus<T>>
   void allreduce_vec(std::vector<T>& buf, Op op = {}) {
     if (allreduce_exact<T, Op>(std::span<T>(buf))) return;
-    conform(check::CollectiveKind::kAllreduceVec, check::kNoRoot, sizeof(T),
-            buf.size());
-    race_fence("allreduce_vec");
-    trace::SpanScope span(trace_, trace::SpanKind::kAllreduceVec,
-                          static_cast<std::uint32_t>(buf.size()),
-                          buf.size() * sizeof(T), tree_depth());
-    const int seq = next_collective();
-    note_reduction(buf.size());
-    allreduce_tree(seq, std::span<T>(buf), buf.size(),
+    allreduce_body(check::CollectiveKind::kAllreduceVec,
+                   trace::SpanKind::kAllreduceVec, std::span<T>(buf),
+                   buf.size(),
                    [&](T& mine, const T& theirs) { mine = op(mine, theirs); });
   }
 
-  // ---- batched (fused) reductions --------------------------------------
-  // The communication-avoiding primitives: k scalars travel together, so
-  // the per-hop start-up latency — the paper's dominant `t_startup · log NP`
-  // term — is paid once instead of k times.  The reduction tree is the
-  // rank-order binomial tree of `reduce(0, ...)` / `allreduce`, so a batch
-  // produces bit-identical values to k sequential scalar allreduces.
-
   /// Fused all-reduce of `vals.size()` independent scalars, element-wise
   /// under `op`, one message per tree edge.  All ranks must pass the same
-  /// batch width (enforced by the conformance ledger).  k = 0 still posts
-  /// to the ledger — the machine-wide width agreement is checked — but is
-  /// otherwise a communication-free no-op: no messages, no collective or
-  /// reduction booked, Stats untouched.
+  /// batch width (enforced by the conformance ledger); width 0 moves
+  /// nothing.
   template <class T, class Op = std::plus<T>>
   void allreduce_batch(std::span<T> vals, Op op = {}) {
     // Same batched tree, exact payloads: the batch stays bit-identical to
     // vals.size() scalar repro allreduces because each value's exact sum is
     // independent of its neighbors in the batch.
     if (allreduce_exact<T, Op>(vals)) return;
-    conform(check::CollectiveKind::kAllreduceBatch, check::kNoRoot, sizeof(T),
-            vals.size());
-    if (vals.empty()) return;  // width-0: no messages, no fence semantics
-    race_fence("allreduce_batch");
-    trace::SpanScope span(trace_, trace::SpanKind::kAllreduceBatch,
-                          static_cast<std::uint32_t>(vals.size()),
-                          vals.size() * sizeof(T), tree_depth());
-    const int seq = next_collective();
-    note_reduction(vals.size());
-    allreduce_tree(seq, vals, vals.size(),
+    allreduce_body(check::CollectiveKind::kAllreduceBatch,
+                   trace::SpanKind::kAllreduceBatch, vals, vals.size(),
                    [&](T& mine, const T& theirs) { mine = op(mine, theirs); });
   }
 
@@ -316,34 +250,27 @@ class Process {
   }
 
   /// All-reduce of exact superaccumulators — the reproducible mode's merge
-  /// primitive.  Walks the same binomial tree as allreduce_batch, but the
-  /// payload is the fixed-point accumulator and the merge is element-wise
-  /// integer limb addition, which is associative: every rank ends holding
-  /// the bit-identical exact sum (rank 0's merged limbs, broadcast
-  /// verbatim) and rounds it identically.  Books one reduction of
-  /// accs.size() values — the same currency as the float path — plus the
-  /// limb-merge flops, and bumps the repro_* Stats counters.  k = 0
-  /// conforms and then no-ops, like the batch collectives.
+  /// primitive.  Takes the same body as allreduce_batch, but the payload is
+  /// the fixed-point accumulator and the merge is element-wise integer limb
+  /// addition, which is associative: every rank ends holding the
+  /// bit-identical exact sum (rank 0's merged limbs, broadcast verbatim)
+  /// and rounds it identically.  Books one reduction of accs.size() values
+  /// — the same currency as the float path — plus the limb-merge flops,
+  /// and bumps the repro_* Stats counters.
   void allreduce_acc(std::span<repro::Superacc> accs) {
-    conform(check::CollectiveKind::kReproReduce, check::kNoRoot,
-            sizeof(repro::Superacc), accs.size());
-    if (accs.empty()) return;
-    race_fence("allreduce");
-    trace::SpanScope span(trace_, trace::SpanKind::kReproMerge,
-                          static_cast<std::uint32_t>(accs.size()),
-                          accs.size() * sizeof(repro::Superacc), tree_depth());
-    const int seq = next_collective();
-    note_reduction(accs.size());
-    auto& s = stats();
-    ++s.repro_reductions;
-    s.repro_values += accs.size();
     // Canonical digits on the wire: merge() relies on both sides being
     // renormalized, and rank 0's broadcast limbs must already be canonical.
     for (auto& a : accs) a.renormalize();
-    allreduce_tree(seq, accs, accs.size() * repro::Superacc::kMergeFlops,
+    allreduce_body(check::CollectiveKind::kReproReduce,
+                   trace::SpanKind::kReproMerge, accs,
+                   accs.size() * repro::Superacc::kMergeFlops,
                    [](repro::Superacc& mine, const repro::Superacc& theirs) {
                      mine.merge(theirs);
                    });
+    if (accs.empty()) return;
+    auto& s = stats();
+    ++s.repro_reductions;
+    s.repro_values += accs.size();
   }
 
   /// `k` zeroed exact accumulators from a per-process buffer that only
@@ -354,29 +281,11 @@ class Process {
     return exact_accs_;
   }
 
-  /// Allocations taken by the reusable vector-collective receive scratch
-  /// (the element-wise tree levels of the batch, vector and exact
-  /// reductions): backs the regression test that the per-level receive
+  /// Allocations taken by the reusable all-reduce receive scratch (the
+  /// tree levels of allreduce_body): backs the regression test that the per-level receive
   /// buffer allocation churn stays gone.
   [[nodiscard]] std::uint64_t coll_scratch_allocations() const {
     return coll_scratch_allocations_;
-  }
-
-  /// Fused reduction of `vals.size()` scalars to `root` (valid only there),
-  /// element-wise under `op`, one message per tree edge.  Like
-  /// allreduce_batch, k = 0 conforms and then no-ops without touching Stats.
-  template <class T, class Op = std::plus<T>>
-  void reduce_batch(int root, std::span<T> vals, Op op = {}) {
-    conform(check::CollectiveKind::kReduceBatch, root, sizeof(T),
-            vals.size());
-    if (vals.empty()) return;
-    trace::SpanScope span(trace_, trace::SpanKind::kReduceBatch,
-                          static_cast<std::uint32_t>(vals.size()),
-                          vals.size() * sizeof(T), tree_depth());
-    const int seq = next_collective();
-    note_reduction(vals.size());
-    reduce_tree(root, seq, vals, vals.size(),
-                [&](T& mine, const T& theirs) { mine = op(mine, theirs); });
   }
 
   /// All-gather with per-rank block sizes `counts` (known by all, in
@@ -447,78 +356,6 @@ class Process {
       recv_into<T>(left, coll_tag(seq, step),
                    std::span<T>(out.data() + offset[rb], counts[rb]));
     }
-  }
-
-  /// Gather variable-size blocks to `root`.  `counts` known by all ranks.
-  /// On root, `out` receives the concatenation; elsewhere it is cleared.
-  template <class T>
-  void gatherv(int root, std::span<const T> local, std::vector<T>& out,
-               const std::vector<std::size_t>& counts) {
-    const int p = nprocs();
-    HPFCG_REQUIRE(static_cast<int>(counts.size()) == p,
-                  "gatherv: counts must have one entry per rank");
-    if (rt_.checker() != nullptr) {
-      conform(check::CollectiveKind::kGatherv, root, sizeof(T),
-              std::accumulate(counts.begin(), counts.end(), std::size_t{0}));
-    }
-    trace::SpanScope span(trace_, trace::SpanKind::kGatherv,
-                          static_cast<std::uint32_t>(root),
-                          total_bytes<T>(counts), tree_depth());
-    const int seq = next_collective();
-    if (rank_ == root) {
-      std::vector<std::size_t> offset(counts.size() + 1, 0);
-      std::partial_sum(counts.begin(), counts.end(), offset.begin() + 1);
-      out.assign(offset.back(), T{});
-      std::copy(local.begin(), local.end(),
-                out.begin() + static_cast<std::ptrdiff_t>(
-                                  offset[static_cast<std::size_t>(root)]));
-      for (int r = 0; r < p; ++r) {
-        if (r == root) continue;
-        recv_into<T>(r, coll_tag(seq, 0),
-                     std::span<T>(out.data() + offset[static_cast<std::size_t>(r)],
-                                  counts[static_cast<std::size_t>(r)]));
-      }
-    } else {
-      out.clear();
-      send<T>(root, coll_tag(seq, 0), local);
-    }
-  }
-
-  /// Scatter variable-size blocks from `root`; returns this rank's block.
-  /// `all` is read only on root.
-  template <class T>
-  std::vector<T> scatterv(int root, std::span<const T> all,
-                          const std::vector<std::size_t>& counts) {
-    const int p = nprocs();
-    HPFCG_REQUIRE(static_cast<int>(counts.size()) == p,
-                  "scatterv: counts must have one entry per rank");
-    if (rt_.checker() != nullptr) {
-      conform(check::CollectiveKind::kScatterv, root, sizeof(T),
-              std::accumulate(counts.begin(), counts.end(), std::size_t{0}));
-    }
-    trace::SpanScope span(trace_, trace::SpanKind::kScatterv,
-                          static_cast<std::uint32_t>(root),
-                          total_bytes<T>(counts), tree_depth());
-    const int seq = next_collective();
-    std::vector<T> mine(counts[static_cast<std::size_t>(rank_)]);
-    if (rank_ == root) {
-      std::vector<std::size_t> offset(counts.size() + 1, 0);
-      std::partial_sum(counts.begin(), counts.end(), offset.begin() + 1);
-      HPFCG_REQUIRE(all.size() == offset.back(),
-                    "scatterv: source length disagrees with counts");
-      for (int r = 0; r < p; ++r) {
-        const auto ur = static_cast<std::size_t>(r);
-        if (r == root) {
-          std::copy_n(all.data() + offset[ur], counts[ur], mine.data());
-        } else {
-          send<T>(r, coll_tag(seq, 0),
-                  std::span<const T>(all.data() + offset[ur], counts[ur]));
-        }
-      }
-    } else {
-      recv_into<T>(root, coll_tag(seq, 0), std::span<T>(mine));
-    }
-    return mine;
   }
 
   /// Personalized all-to-all: `send_blocks[r]` goes to rank r; returns the
@@ -605,23 +442,6 @@ class Process {
       }
     }
     return recv_blocks;
-  }
-
-  /// Exclusive prefix sum over ranks (rank 0 gets T{}).
-  template <class T, class Op = std::plus<T>>
-  T exscan(T value, Op op = {}) {
-    // Simple linear scan: rank r receives the prefix from r-1, forwards
-    // prefix ⊕ value to r+1.  Cost O(P) start-ups; used only in setup paths.
-    conform(check::CollectiveKind::kExscan, check::kNoRoot, sizeof(T), 1);
-    trace::SpanScope span(trace_, trace::SpanKind::kExscan, 1, sizeof(T),
-                          tree_depth());
-    const int seq = next_collective();
-    T prefix{};
-    if (rank_ > 0) prefix = recv_value<T>(rank_ - 1, coll_tag(seq, 0));
-    if (rank_ + 1 < nprocs()) {
-      send_value<T>(rank_ + 1, coll_tag(seq, 0), op(prefix, value));
-    }
-    return prefix;
   }
 
   /// hpfcg::check hook: assert that a structure this rank built locally
@@ -721,14 +541,28 @@ class Process {
     }
   }
 
-  /// Element-wise reduction of `vals` to `root` on phase 0: each child's
-  /// block lands in the receive scratch and folds in through
-  /// `merge(mine, theirs)`, booking `flops` per block.
+  /// The one all-reduce body, behind allreduce_vec, allreduce_batch (and so
+  /// the scalar allreduce) and allreduce_acc.  It posts the ledger record
+  /// (`kind`), and a width-0 call stops there: the machine-wide width
+  /// agreement is checked, but no message moves and Stats stay untouched.
+  /// Otherwise it enters the race fence and the span (`span_kind`), takes
+  /// a sequence number, books the reduction, and walks the tree: up to
+  /// rank 0 on phase 0, where each child's block lands in the receive
+  /// scratch and folds in through `merge(mine, theirs)`, booking `flops`
+  /// per block; then the merged block back down on phase 1.
   template <class T, class Merge>
-  void reduce_tree(int root, int seq, std::span<T> vals, std::uint64_t flops,
-                   Merge merge) {
+  void allreduce_body(check::CollectiveKind kind, trace::SpanKind span_kind,
+                      std::span<T> vals, std::uint64_t flops, Merge merge) {
+    conform(kind, check::kNoRoot, sizeof(T), vals.size());
+    if (vals.empty()) return;
+    race_fence(check::to_string(kind));
+    trace::SpanScope span(trace_, span_kind,
+                          static_cast<std::uint32_t>(vals.size()),
+                          vals.size_bytes(), tree_depth());
+    const int seq = next_collective();
+    note_reduction(vals.size());
     tree_reduce(
-        root,
+        0,
         [&](int child) {
           const std::span<T> other = coll_scratch<T>(vals.size());
           recv_into<T>(child, coll_tag(seq, 0), other);
@@ -738,14 +572,6 @@ class Process {
         [&](int parent) {
           send<T>(parent, coll_tag(seq, 0), std::span<const T>(vals));
         });
-  }
-
-  /// reduce_tree to rank 0, then the merged block back down the same tree
-  /// on phase 1: the body shared by the element-wise all-reductions.
-  template <class T, class Merge>
-  void allreduce_tree(int seq, std::span<T> vals, std::uint64_t flops,
-                      Merge merge) {
-    reduce_tree(0, seq, vals, flops, merge);
     tree_bcast(
         0, [&](int parent) { recv_into<T>(parent, coll_tag(seq, 1), vals); },
         [&](int child) {
@@ -775,12 +601,12 @@ class Process {
     }
   }
 
-  /// Reusable receive scratch for the element-wise tree levels
-  /// (reduce_tree): one buffer grown to the high-water byte mark instead of
-  /// a fresh buffer per tree level of every call — the same hoist as the
-  /// sparse transpose scratch.  Only receiving (non-leaf) tree ranks ever
-  /// touch it.  Contents are overwritten by recv_into before every read, so
-  /// no initialization runs.
+  /// Reusable receive scratch for the tree levels of allreduce_body: one
+  /// buffer grown to the high-water byte mark instead of a fresh buffer per
+  /// tree level of every call — the same hoist as the sparse transpose
+  /// scratch.  Only receiving (non-leaf) tree ranks ever touch it.  Contents
+  /// are overwritten by recv_into before every read, so no initialization
+  /// runs.
   template <class T>
   [[nodiscard]] std::span<T> coll_scratch(std::size_t n) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -788,16 +614,6 @@ class Process {
     if (coll_scratch_.capacity() < bytes) ++coll_scratch_allocations_;
     if (coll_scratch_.size() < bytes) coll_scratch_.resize(bytes);
     return {reinterpret_cast<T*>(coll_scratch_.data()), n};
-  }
-
-  /// Total payload of a counts-described collective, computed only when a
-  /// span will carry it.
-  template <class T>
-  [[nodiscard]] std::uint64_t total_bytes(
-      const std::vector<std::size_t>& counts) const {
-    if (trace_ == nullptr) return 0;
-    return std::accumulate(counts.begin(), counts.end(), std::size_t{0}) *
-           sizeof(T);
   }
 
   /// Book one reduction-class collective merging `values` scalars (the

@@ -22,9 +22,9 @@ struct Stats {
   std::uint64_t bytes_received = 0;
   std::uint64_t flops = 0;
   std::uint64_t barriers = 0;
-  std::uint64_t collectives = 0;  ///< broadcast/reduce/allreduce/gather/...
-  /// Reduction-class collectives entered (reduce, allreduce, allreduce_vec,
-  /// reduce_batch, allreduce_batch).  A scalar allreduce counts once; a
+  std::uint64_t collectives = 0;  ///< broadcast/allreduce/allgather/...
+  /// All-reductions entered (allreduce, allreduce_vec, allreduce_batch,
+  /// allreduce_acc).  A scalar allreduce, a width-1 batch, counts once; a
   /// batch of k scalars also counts once — this is the "allreduces per
   /// iteration" currency of the communication-avoiding solver benchmarks.
   std::uint64_t reductions = 0;

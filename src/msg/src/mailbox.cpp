@@ -181,12 +181,6 @@ Envelope Mailbox::receive(int src, int tag) {
   return out;
 }
 
-bool Mailbox::try_receive(int src, int tag, Envelope& out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (aborted_) throw util::Error("msg runtime aborted while receiving");
-  return match_locked(src, tag, out);
-}
-
 void Mailbox::recycle(Envelope&& env) {
   if (env.stored_inline() || !buffer_pooling()) return;
   std::vector<std::byte> buf = env.release_heap();

@@ -22,18 +22,13 @@ enum class SpanKind : std::uint8_t {
   // point-to-point
   kSend,
   kRecv,
-  // collectives (Process:: lowers allreduce to kReduce + kBroadcast)
+  // collectives (a scalar allreduce is a width-1 kAllreduceBatch)
   kBarrier,
   kBroadcast,
-  kReduce,
   kAllreduceVec,
   kAllreduceBatch,
-  kReduceBatch,
   kAllgatherv,
-  kGatherv,
-  kScatterv,
   kAlltoallv,
-  kExscan,
   kSequential,
   // hpf intrinsic phases
   kDot,
@@ -66,16 +61,14 @@ enum class SpanKind : std::uint8_t {
 [[nodiscard]] const char* span_kind_name(SpanKind k);
 
 /// Binomial-tree passes one span of kind `k` makes: 2 for the all-reduces
-/// (up to rank 0, then back down), 1 for reduce- and broadcast-class
-/// collectives, 0 for everything that does not walk the tree.
+/// (up to rank 0, then back down), 1 for the broadcast, 0 for everything
+/// that does not walk the tree.
 [[nodiscard]] constexpr int tree_passes(SpanKind k) {
   switch (k) {
     case SpanKind::kAllreduceVec:
     case SpanKind::kAllreduceBatch:
     case SpanKind::kReproMerge: return 2;
-    case SpanKind::kBroadcast:
-    case SpanKind::kReduce:
-    case SpanKind::kReduceBatch: return 1;
+    case SpanKind::kBroadcast: return 1;
     default: return 0;
   }
 }

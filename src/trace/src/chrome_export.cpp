@@ -17,15 +17,10 @@ int lane_of(SpanKind k) {
     case SpanKind::kRecv:
     case SpanKind::kBarrier:
     case SpanKind::kBroadcast:
-    case SpanKind::kReduce:
     case SpanKind::kAllreduceVec:
     case SpanKind::kAllreduceBatch:
-    case SpanKind::kReduceBatch:
     case SpanKind::kAllgatherv:
-    case SpanKind::kGatherv:
-    case SpanKind::kScatterv:
     case SpanKind::kAlltoallv:
-    case SpanKind::kExscan:
     case SpanKind::kSequential:
     case SpanKind::kHalo:
     case SpanKind::kGatherFull:

@@ -10,15 +10,10 @@ const char* span_kind_name(SpanKind k) {
     case SpanKind::kRecv: return "recv";
     case SpanKind::kBarrier: return "barrier";
     case SpanKind::kBroadcast: return "broadcast";
-    case SpanKind::kReduce: return "reduce";
     case SpanKind::kAllreduceVec: return "allreduce_vec";
     case SpanKind::kAllreduceBatch: return "allreduce_batch";
-    case SpanKind::kReduceBatch: return "reduce_batch";
     case SpanKind::kAllgatherv: return "allgatherv";
-    case SpanKind::kGatherv: return "gatherv";
-    case SpanKind::kScatterv: return "scatterv";
     case SpanKind::kAlltoallv: return "alltoallv";
-    case SpanKind::kExscan: return "exscan";
     case SpanKind::kSequential: return "sequential";
     case SpanKind::kDot: return "dot";
     case SpanKind::kDotBatch: return "dot_batch";

@@ -58,7 +58,8 @@ TEST(CheckCollectiveConformance, MismatchedKindNamesDivergentRank) {
       std::vector<double> buf(4, 1.0);
       p.allreduce_vec(buf);  // everyone else broadcasts
     } else {
-      (void)p.broadcast_value<double>(0, 1.0);
+      double v = 1.0;
+      p.broadcast_into<double>(0, std::span<double>(&v, 1));
     }
   });
   EXPECT_NE(msg.find("collective conformance violation"), std::string::npos)
@@ -132,16 +133,6 @@ TEST(CheckCollectiveConformance, DivergenceNamedEvenWhenRankZeroPostsLast) {
   EXPECT_NE(msg.find("collective conformance violation"), std::string::npos)
       << msg;
   EXPECT_NE(msg.find("rank 2"), std::string::npos) << msg;
-}
-
-TEST(CheckCollectiveConformance, MismatchedReduceBatchRootNamesRank) {
-  const std::string msg = failure_message(4, [](Process& p) {
-    std::vector<double> vals(2, 1.0);
-    p.reduce_batch<double>(p.rank() == 1 ? 2 : 0, vals);
-  });
-  EXPECT_NE(msg.find("rank 1"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("reduce_batch"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("root=2"), std::string::npos) << msg;
 }
 
 TEST(CheckCollectiveConformance, ConformingProgramsPassUntouched) {

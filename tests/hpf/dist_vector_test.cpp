@@ -1,6 +1,5 @@
 // DistributedVector: construction, alignment, global/local access, and the
-// gather paths (to_global / to_root) across distribution kinds and machine
-// sizes.
+// gather path (to_global) across distribution kinds and machine sizes.
 
 #include <gtest/gtest.h>
 
@@ -76,24 +75,6 @@ TEST_P(DistVectorTest, FromGlobalSelectsOwnedSlice) {
     for (std::size_t l = 0; l < v.local().size(); ++l) {
       const std::size_t g = v.global_of(l);
       EXPECT_DOUBLE_EQ(v.local()[l], static_cast<double>(g * g));
-    }
-  });
-}
-
-TEST_P(DistVectorTest, ToRootGathersOnlyAtRoot) {
-  const auto [kind, np] = GetParam();
-  const std::size_t n = 37;
-  run_spmd(np, [&, kind = kind, np = np](Process& p) {
-    DistributedVector<double> v(p, make_dist(kind, n, np));
-    v.set_from([](std::size_t g) { return static_cast<double>(g) - 5.0; });
-    const auto full = v.to_root(0);
-    if (p.rank() == 0) {
-      ASSERT_EQ(full.size(), n);
-      for (std::size_t g = 0; g < n; ++g) {
-        EXPECT_DOUBLE_EQ(full[g], static_cast<double>(g) - 5.0);
-      }
-    } else {
-      EXPECT_TRUE(full.empty());
     }
   });
 }

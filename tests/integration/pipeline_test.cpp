@@ -46,8 +46,8 @@ TEST_P(PipelineTest, FileToSolutionEndToEnd) {
     if (proc.rank() == 0) {
       on_root = sp::read_matrix_market_file(path);
     }
-    const std::size_t n =
-        proc.broadcast_value<std::size_t>(0, on_root.n_rows());
+    std::size_t n = on_root.n_rows();
+    proc.broadcast_into<std::size_t>(0, std::span<std::size_t>(&n, 1));
     ASSERT_EQ(n, 72u);
 
     auto dist = std::make_shared<const Distribution>(

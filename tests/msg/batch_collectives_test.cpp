@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -17,6 +18,7 @@
 #include "hpfcg/hpf/dist_vector.hpp"
 #include "hpfcg/hpf/intrinsics.hpp"
 #include "hpfcg/msg/process.hpp"
+#include "hpfcg/repro/repro.hpp"
 #include "spmd_test_util.hpp"
 
 using hpfcg::msg::Process;
@@ -95,23 +97,49 @@ TEST_P(BatchCollectivesTest, AllreduceBatchCustomOp) {
   });
 }
 
-TEST_P(BatchCollectivesTest, ReduceBatchBitIdenticalAtEveryRoot) {
+TEST_P(BatchCollectivesTest, ScalarAllreduceIsAWidthOneBatch) {
+  // One all-reduce path: a scalar allreduce IS a width-1 batch, so the two
+  // forms agree on every result bit and on every Stats counter (messages,
+  // collectives, reductions, merge flops), for a sum and a max, in plain
+  // mode and under the reproducible mode's exact merge.
   const int np = GetParam();
-  const std::size_t k = 4;
-  for (int root = 0; root < np; ++root) {
-    run_spmd(np, [k, root](Process& p) {
-      std::vector<double> batch(k), scalar(k);
-      for (std::size_t i = 0; i < k; ++i) {
-        batch[i] = scalar[i] = value_for(p.rank(), i);
-      }
-      p.reduce_batch<double>(root, batch);
-      for (std::size_t i = 0; i < k; ++i) {
-        scalar[i] = p.reduce(root, scalar[i]);
-      }
-      if (p.rank() == root) {
-        for (std::size_t i = 0; i < k; ++i) EXPECT_EQ(batch[i], scalar[i]);
-      }
-    });
+  const auto max = [](int a, int b) { return a > b ? a : b; };
+  for (const bool exact : {false, true}) {
+    hpfcg::repro::ScopedEnable mode(exact);
+    std::vector<double> sums[2];
+    std::vector<int> maxes[2];
+    hpfcg::msg::Stats totals[2];
+    for (const bool scalar : {false, true}) {
+      auto& sum = sums[scalar ? 1 : 0];
+      auto& mx = maxes[scalar ? 1 : 0];
+      sum.assign(static_cast<std::size_t>(np), 0.0);
+      mx.assign(static_cast<std::size_t>(np), 0);
+      auto rt = run_spmd(np, [&](Process& p) {
+        double s = value_for(p.rank(), 3);
+        int m = (p.rank() * 5) % 3;
+        if (scalar) {
+          s = p.allreduce(s);
+          m = p.allreduce<int>(m, max);
+        } else {
+          p.allreduce_batch<double>(std::span<double>(&s, 1));
+          p.allreduce_batch<int>(std::span<int>(&m, 1), max);
+        }
+        sum[static_cast<std::size_t>(p.rank())] = s;
+        mx[static_cast<std::size_t>(p.rank())] = m;
+      });
+      totals[scalar ? 1 : 0] = rt->total_stats();
+    }
+    for (int r = 0; r < np; ++r) {
+      const auto ur = static_cast<std::size_t>(r);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(sums[1][ur]),
+                std::bit_cast<std::uint64_t>(sums[0][ur]))
+          << "exact=" << exact << " rank " << r;
+      EXPECT_EQ(maxes[1][ur], maxes[0][ur]) << "exact=" << exact;
+    }
+    EXPECT_TRUE(hpfcg::msg::counters_identical(totals[1], totals[0]))
+        << "exact=" << exact;
+    EXPECT_EQ(totals[1].collectives, 2u * static_cast<std::uint64_t>(np))
+        << "exact=" << exact;
   }
 }
 
@@ -148,7 +176,7 @@ TEST_P(BatchCollectivesTest, ReductionCountersTrackBatchWidth) {
     p.allreduce_batch<double>(v3);   // 1 reduction, 3 values
     (void)p.allreduce(2.0);          // 1 reduction, 1 value
     std::vector<double> v2(2, 1.0);
-    p.reduce_batch<double>(0, v2);   // 1 reduction, 2 values
+    p.allreduce_vec(v2);             // 1 reduction, 2 values
   });
   for (int r = 0; r < np; ++r) {
     EXPECT_EQ(rt->stats(r).reductions, 3u);
@@ -158,15 +186,15 @@ TEST_P(BatchCollectivesTest, ReductionCountersTrackBatchWidth) {
 
 TEST_P(BatchCollectivesTest, WidthZeroIsCommunicationFree) {
   // Regression: a width-0 batch used to book a collective and walk the
-  // coll_tag sequence.  It must now be a pure no-op: no messages, no
-  // collective, no reduction booked — every Stats counter stays exactly
-  // where it was.
+  // coll_tag sequence, and a width-0 allreduce_vec sent 2(NP-1) empty
+  // messages.  Both must now be pure no-ops: no messages, no collective,
+  // no reduction booked — every Stats counter stays exactly where it was.
   const int np = GetParam();
   auto rt = run_spmd(np, [](Process& p) {
     const hpfcg::msg::Stats before = p.stats();
     std::vector<double> empty;
     p.allreduce_batch<double>(empty);
-    p.reduce_batch<double>(0, empty);
+    p.allreduce_vec(empty);
     const hpfcg::msg::Stats& after = p.stats();
     EXPECT_EQ(after.messages_sent, before.messages_sent);
     EXPECT_EQ(after.messages_received, before.messages_received);
@@ -192,7 +220,7 @@ TEST_P(BatchCollectivesTest, WidthZeroAgreesUnderConformanceChecking) {
     p.allreduce_batch<double>(empty);
     std::vector<double> three(3, static_cast<double>(p.rank()));
     p.allreduce_batch<double>(three);
-    p.reduce_batch<double>(0, empty);
+    p.allreduce_vec(empty);
     const double v = p.allreduce(2.0);
     EXPECT_DOUBLE_EQ(v, 2.0 * p.nprocs());
   });

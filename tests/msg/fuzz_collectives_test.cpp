@@ -39,13 +39,11 @@ void random_program(Process& p, std::uint64_t seed, int ops) {
       case 1: {  // broadcast vector from random root
         const int root = static_cast<int>(rng.below(np));
         const std::size_t len = rng.below(20);
-        std::vector<std::int64_t> buf;
+        std::vector<std::int64_t> buf(len, -1);
         if (p.rank() == root) {
-          buf.resize(len);
           for (std::size_t i = 0; i < len; ++i) buf[i] = elem(root, i);
         }
-        p.broadcast(root, buf);
-        ASSERT_EQ(buf.size(), len);
+        p.broadcast_into<std::int64_t>(root, buf);
         for (std::size_t i = 0; i < len; ++i) ASSERT_EQ(buf[i], elem(root, i));
         break;
       }
@@ -83,25 +81,31 @@ void random_program(Process& p, std::uint64_t seed, int ops) {
         }
         break;
       }
-      case 4: {  // exscan
-        const auto prefix =
-            p.exscan<std::int64_t>(static_cast<std::int64_t>(p.rank() * 2));
-        std::int64_t expect = 0;
-        for (int r = 0; r < p.rank(); ++r) expect += r * 2;
-        ASSERT_EQ(prefix, expect);
+      case 4: {  // vector merge of random length (0 included)
+        std::vector<std::int64_t> v(rng.below(6));
+        for (std::size_t i = 0; i < v.size(); ++i) v[i] = elem(p.rank(), i);
+        p.allreduce_vec(v);
+        for (std::size_t i = 0; i < v.size(); ++i) {
+          std::int64_t expect = 0;
+          for (int r = 0; r < np; ++r) expect += elem(r, i);
+          ASSERT_EQ(v[i], expect);
+        }
         break;
       }
-      case 5: {  // reduce max to random root
-        const int root = static_cast<int>(rng.below(np));
-        const auto v = p.reduce<std::int64_t>(
-            root, elem(p.rank(), static_cast<std::size_t>(op)),
-            [](std::int64_t a, std::int64_t b) { return a > b ? a : b; });
-        if (p.rank() == root) {
-          std::int64_t expect = elem(0, static_cast<std::size_t>(op));
+      case 5: {  // max batch of random width (0 included)
+        std::vector<std::int64_t> v(rng.below(4));
+        for (std::size_t i = 0; i < v.size(); ++i) {
+          v[i] = elem(p.rank(), static_cast<std::size_t>(op) + i);
+        }
+        p.allreduce_batch<std::int64_t>(
+            v, [](std::int64_t a, std::int64_t b) { return a > b ? a : b; });
+        for (std::size_t i = 0; i < v.size(); ++i) {
+          std::int64_t expect = elem(0, static_cast<std::size_t>(op) + i);
           for (int r = 1; r < np; ++r) {
-            expect = std::max(expect, elem(r, static_cast<std::size_t>(op)));
+            expect =
+                std::max(expect, elem(r, static_cast<std::size_t>(op) + i));
           }
-          ASSERT_EQ(v, expect);
+          ASSERT_EQ(v[i], expect);
         }
         break;
       }

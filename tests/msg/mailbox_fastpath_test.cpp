@@ -113,18 +113,6 @@ TEST(MailboxFastPathTest, AnySourceNotStarvedByFloodFromOneRank) {
   EXPECT_EQ(marker_of(env), 100);
 }
 
-TEST(MailboxFastPathTest, TryReceiveMatchesOrReportsEmpty) {
-  Mailbox mb(2);
-  Envelope out;
-  EXPECT_FALSE(mb.try_receive(kAnySource, 3, out));
-  post(mb, 1, 3, 42);
-  EXPECT_FALSE(mb.try_receive(1, 4, out));  // wrong tag
-  EXPECT_FALSE(mb.try_receive(0, 3, out));  // wrong source
-  ASSERT_TRUE(mb.try_receive(1, 3, out));
-  EXPECT_EQ(marker_of(out), 42);
-  EXPECT_FALSE(mb.try_receive(1, 3, out));
-}
-
 TEST(MailboxFastPathTest, InlineStorageBoundaryAt64Bytes) {
   ToggleGuard guard;
   hpfcg::msg::set_inline_payloads(true);

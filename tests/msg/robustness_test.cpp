@@ -34,8 +34,8 @@ TEST(Robustness, FailureWhileOthersBlockOnBroadcast) {
   Runtime rt(4);
   EXPECT_THROW(rt.run([](Process& p) {
                  if (p.rank() == 0) throw Error("root dies");
-                 std::vector<double> buf;
-                 p.broadcast(0, buf);  // root never sends
+                 std::vector<double> buf(4);
+                 p.broadcast_into<double>(0, buf);  // root never sends
                }),
                Error);
 }

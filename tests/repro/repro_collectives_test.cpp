@@ -193,11 +193,11 @@ TEST_P(ReproCollectivesTest, CollScratchAllocatesOncePerProcess) {
         }
         p.allreduce_vec(buf);
         // Smaller payloads must reuse the same buffer, never re-grow —
-        // the batch reductions' tree levels included.
+        // the batch and scalar reductions' tree levels included.
         std::vector<double> small(kN / 4, 1.0);
         p.allreduce_vec(small);
         p.allreduce_batch(std::span<double>(small).first(3));
-        p.reduce_batch(0, std::span<double>(small).first(5));
+        (void)p.allreduce(small[0]);
       }
       allocs[static_cast<std::size_t>(p.rank())] =
           p.coll_scratch_allocations();
@@ -211,7 +211,7 @@ TEST_P(ReproCollectivesTest, CollScratchAllocatesOncePerProcess) {
           << "repro=" << mode << " rank " << r;
     }
     // Rank 0 is the tree root: with np > 1 it always receives, and must
-    // have grown the scratch exactly once across all 40 collectives.
+    // have grown the scratch exactly once across all 80 collectives.
     EXPECT_EQ(allocs[0], np == 1 ? 0u : 1u) << "repro=" << mode;
   }
 }

@@ -139,8 +139,8 @@ TEST(ModelFit, TreeCollectiveSamplesCountPassesPerClass) {
   trace::RankTrace t(16, std::chrono::steady_clock::now());
   // Allreduce-class: up + down the tree -> 2·depth startups.
   t.record(tree_span(trace::SpanKind::kAllreduceBatch, 3, 24, 5000));
-  // Reduce-class: one pass -> depth startups.
-  t.record(tree_span(trace::SpanKind::kReduce, 3, 8, 2000));
+  // The vector merge is allreduce-class too: 2·depth startups.
+  t.record(tree_span(trace::SpanKind::kAllreduceVec, 3, 8, 2000));
   // Broadcast-class: one pass.
   t.record(tree_span(trace::SpanKind::kBroadcast, 2, 80, 1500));
   // Non-tree spans are ignored entirely.
@@ -153,8 +153,8 @@ TEST(ModelFit, TreeCollectiveSamplesCountPassesPerClass) {
   EXPECT_DOUBLE_EQ(samples[0].startups, 6.0);
   EXPECT_DOUBLE_EQ(samples[0].bytes, 6.0 * 24.0);
   EXPECT_DOUBLE_EQ(samples[0].seconds, 5e-6);
-  EXPECT_DOUBLE_EQ(samples[1].startups, 3.0);
-  EXPECT_DOUBLE_EQ(samples[1].bytes, 3.0 * 8.0);
+  EXPECT_DOUBLE_EQ(samples[1].startups, 6.0);
+  EXPECT_DOUBLE_EQ(samples[1].bytes, 6.0 * 8.0);
   EXPECT_DOUBLE_EQ(samples[2].startups, 2.0);
   EXPECT_DOUBLE_EQ(samples[2].bytes, 2.0 * 80.0);
 }

@@ -135,9 +135,8 @@ TEST(RuntimeTrace, StatsBitIdenticalWithTracingOnAndOff) {
     p.allreduce_batch(std::span<double>(vals));
     p.barrier();
     std::vector<double> buf(10, p.rank() == 0 ? 3.0 : 0.0);
-    p.broadcast(0, buf);
-    const double m = p.reduce(0, static_cast<double>(p.rank()));
-    (void)m;
+    p.broadcast_into<double>(0, buf);
+    (void)p.allreduce(static_cast<double>(p.rank()));
   };
   std::vector<Stats> off_stats, on_stats;
   for (const int np : hpfcg_test::test_machine_sizes()) {

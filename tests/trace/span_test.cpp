@@ -119,13 +119,13 @@ TEST(SpanKinds, NamesAreStableAndTreePredicateMatches) {
   EXPECT_STREQ(trace::span_kind_name(trace::SpanKind::kAllreduceBatch),
                "allreduce_batch");
   EXPECT_STREQ(trace::span_kind_name(trace::SpanKind::kMatvec), "matvec");
-  EXPECT_TRUE(trace::is_tree_collective(trace::SpanKind::kReduce));
+  EXPECT_TRUE(trace::is_tree_collective(trace::SpanKind::kBroadcast));
   EXPECT_TRUE(trace::is_tree_collective(trace::SpanKind::kAllreduceBatch));
   EXPECT_FALSE(trace::is_tree_collective(trace::SpanKind::kSend));
   EXPECT_FALSE(trace::is_tree_collective(trace::SpanKind::kBarrier));
   EXPECT_FALSE(trace::is_tree_collective(trace::SpanKind::kIteration));
   EXPECT_EQ(trace::tree_passes(trace::SpanKind::kAllreduceVec), 2);
-  EXPECT_EQ(trace::tree_passes(trace::SpanKind::kReduceBatch), 1);
+  EXPECT_EQ(trace::tree_passes(trace::SpanKind::kBroadcast), 1);
   EXPECT_EQ(trace::tree_passes(trace::SpanKind::kAllgatherv), 0);
 }
 
