@@ -6,14 +6,10 @@
 // Table: modeled makespan (from instrumented messages) vs the prediction,
 // per collective, NP and topology.
 
-#include <algorithm>
-#include <chrono>
-#include <functional>
 #include <iostream>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "hpfcg/msg/mailbox.hpp"
 #include "hpfcg/msg/process.hpp"
 
 using hpfcg::msg::CostParams;
@@ -95,85 +91,6 @@ void bench_topology(Topology topo) {
   table.print(std::cout);
 }
 
-/// Wall-clock of `reps` small-message collectives (the simulation's own
-/// start-up cost), with the mailbox fast paths on vs off.  Small messages
-/// are where the inline/pooled machinery matters: a scalar allreduce moves
-/// 8-byte payloads that the fast path never heap-allocates.
-void bench_mailbox_fastpath() {
-  hpfcg::util::Table table(
-      "A3b — mailbox fast path on small messages (wall-clock, host time)",
-      {"workload", "NP", "fast paths", "wall[us]", "per op[us]"});
-  const int reps = 2000;
-  // Two workloads, one per fast path: the 8-byte scalar merge exercises
-  // inline envelope storage; the 512-byte vector merge exceeds the inline
-  // bound and exercises the per-mailbox buffer pool.
-  struct Workload {
-    const char* name;
-    std::vector<int> nps;
-    std::function<void(Process&)> body;
-  };
-  const Workload workloads[] = {
-      // Burst send/recv isolates the message path from collective
-      // lockstep: the receiver's queue is never empty after the first
-      // message, so wall-clock tracks envelope construction — the part
-      // the inline fast path deletes the allocation from.
-      {"burst send(4) x2000",
-       {2},
-       [reps](Process& p) {
-         const int kTag = 7;
-         std::vector<double> payload(4, 1.0);
-         if (p.rank() == 0) {
-           for (int i = 0; i < reps; ++i) {
-             p.send<double>(1, kTag, payload);
-           }
-         } else {
-           std::vector<double> in(4);
-           for (int i = 0; i < reps; ++i) {
-             p.recv_into<double>(0, kTag, in);
-           }
-         }
-       }},
-      {"allreduce(1) x2000",
-       {2, 4, 8},
-       [reps](Process& p) {
-         double acc = 0.0;
-         for (int i = 0; i < reps; ++i) acc = p.allreduce(acc + 1.0);
-         (void)acc;
-       }},
-      {"merge(64) x2000",
-       {2, 4, 8},
-       [reps](Process& p) {
-         std::vector<double> buf(64, 1.0);
-         for (int i = 0; i < reps; ++i) p.allreduce_vec(buf);
-       }},
-  };
-  for (const auto& w : workloads) {
-    for (const int np : w.nps) {
-      for (const bool fast : {false, true}) {
-        hpfcg::msg::set_buffer_pooling(fast);
-        hpfcg::msg::set_inline_payloads(fast);
-        // Best of 5 trials: scheduler noise at these wall times swamps a
-        // single run, while the minimum tracks the achievable path cost.
-        double us = 0.0;
-        for (int trial = 0; trial < 5; ++trial) {
-          const auto t0 = std::chrono::steady_clock::now();
-          hpfcg_bench::run_machine(np, w.body);
-          const auto t1 = std::chrono::steady_clock::now();
-          const double trial_us =
-              std::chrono::duration<double, std::micro>(t1 - t0).count();
-          us = (trial == 0) ? trial_us : std::min(us, trial_us);
-        }
-        table.add_row({w.name, std::to_string(np), fast ? "on" : "off",
-                       hpfcg::util::fmt(us, 0),
-                       hpfcg::util::fmt(us / reps, 2)});
-      }
-    }
-  }
-  hpfcg::msg::set_buffer_pooling(true);
-  hpfcg::msg::set_inline_payloads(true);
-  table.print(std::cout);
-}
-
 }  // namespace
 
 int main() {
@@ -181,7 +98,6 @@ int main() {
                           Topology::kMesh2D, Topology::kFullyConnected}) {
     bench_topology(topo);
   }
-  bench_mailbox_fastpath();
   std::cout << "\nReading: modeled times stay within a small factor of the\n"
                "closed forms on every topology; the ring pays (NP-1)\n"
                "start-ups for the allgather where the hypercube pays logNP\n"

@@ -1,11 +1,14 @@
 // Experiment A6 (Section 2.1): the CG solver family's communication
-// profiles.
+// profiles (merges per rank and iteration, the exit-test norms included).
 //
-//   CG        1 matvec (broadcast)            + 2 inner-product merges
-//   BiCG      2 matvecs, one with A^T — the transpose product needs the
-//             merge pattern, "negating" the row-storage optimisation
+//   CG        1 matvec (halo exchange)        + 2 merges
+//   BiCG      2 matvecs, one with A^T         + 3 merges — the transpose
+//             product ships ghost partials back to their owners (the
+//             halo's reverse exchange), "negating" the row-storage
+//             optimisation
 //   CGS       2 matvecs, no A^T, extra vectors; can diverge
-//   BiCGSTAB  2 matvecs, no A^T, 4 inner products per iteration
+//   BiCGSTAB  2 matvecs, no A^T               + 6 merges: 4 inner products
+//             plus the s and r norms its two exit tests read
 //
 // Fixed 20 iterations (no early exit) so the per-iteration communication
 // is directly comparable; a second table reports iterations-to-tolerance.
@@ -37,7 +40,7 @@ const char* name_of(Method m) {
     case Method::kBicg:
       return "BiCG (uses A^T)";
     case Method::kBicgstab:
-      return "BiCGSTAB (4 dots)";
+      return "BiCGSTAB (6 merges)";
   }
   return "?";
 }
@@ -155,11 +158,12 @@ int main() {
   conv.print(std::cout);
 
   std::cout
-      << "\nReading: BiCG roughly doubles CG's per-iteration volume (the\n"
-         "A^T product adds a full-length merge on top of the broadcast) —\n"
-         "Section 2.1's warning that transpose products negate row-storage\n"
-         "tuning.  BiCGSTAB avoids A^T but doubles the DOT_PRODUCT merges\n"
-         "(4 per iteration), its 'greater demand for an efficient\n"
-         "intrinsic'.  On SPD systems BiCG tracks CG's iteration count.\n";
+      << "\nReading: BiCG moves about 1.9x CG's bytes per iteration (the\n"
+         "A^T product is a second neighbour exchange, ghost partials sent\n"
+         "back to their owners) — Section 2.1's warning that transpose\n"
+         "products negate row-storage tuning.  BiCGSTAB avoids A^T but\n"
+         "makes 6 DOT_PRODUCT merges per iteration against CG's 2, its\n"
+         "'greater demand for an efficient intrinsic'.  On SPD systems\n"
+         "BiCG tracks CG's iteration count.\n";
   return 0;
 }

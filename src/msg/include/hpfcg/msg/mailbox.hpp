@@ -48,31 +48,12 @@ inline constexpr int kAnySource = -1;
 /// check uses it to skip a collective's own internal messages.
 inline constexpr int kCollectiveTagBit = 0x40000000;
 
-/// Runtime toggles for the mailbox fast paths, so benchmarks can A/B the
-/// pooled/inline machinery against plain heap allocation in one binary.
-/// Both default to on; message semantics, modeled costs, and every Stats
-/// counter except the envelope-path diagnostics (envelopes_inline/pooled/
-/// heap, which exist precisely to observe these toggles) are bit-identical
-/// either way.
-void set_buffer_pooling(bool on);
-[[nodiscard]] bool buffer_pooling();
-void set_inline_payloads(bool on);
-[[nodiscard]] bool inline_payloads();
-
-/// Bound on each mailbox's heap-buffer freelist.  Recycled buffers beyond
-/// the bound are freed; senders finding the pool empty fall back to a fresh
-/// tracked heap buffer (counted in Stats::envelopes_heap) — the fallback
-/// never blocks and never grows the pool.  Tests shrink this to force
-/// exhaustion; 0 disables pooling entirely.
-void set_max_pooled_buffers(std::size_t n);
-[[nodiscard]] std::size_t max_pooled_buffers();
-
 /// How an Envelope's payload ended up stored.  Mirrors (and numerically
 /// matches) trace::EnvelopePath so spans can carry it as their aux byte.
 enum class EnvelopePath : std::uint8_t {
   kInline = 0,  ///< payload fit the in-envelope buffer
   kPooled = 1,  ///< heap buffer drawn from the mailbox freelist
-  kHeap = 2,    ///< fresh heap buffer (pool empty/disabled) — tracked in Stats
+  kHeap = 2,    ///< fresh heap buffer (pool empty) — tracked in Stats
 };
 
 /// One in-flight message.  Small payloads are stored inline; larger ones
@@ -160,6 +141,11 @@ class Mailbox {
 
   /// Heap buffers currently parked in the freelist (for tests).
   std::size_t pooled_buffers() const;
+
+  /// Bound on the freelist.  Recycled buffers beyond it are freed; a sender
+  /// finding the pool empty falls back to a fresh tracked heap buffer
+  /// (Stats::envelopes_heap), which never blocks and never grows the pool.
+  static constexpr std::size_t kMaxPooledBuffers = 64;
 
   /// Summary of every queued message, for the hpfcg::check teardown audit.
   struct PendingInfo {

@@ -63,13 +63,11 @@ struct Stats {
 
   /// Envelope storage path per message sent: inline (≤64 B payload),
   /// drawn from the destination mailbox's buffer pool, or the tracked
-  /// heap fallback when the bounded pool is exhausted (or pooling is
-  /// toggled off).  These diagnose the allocation machinery, so unlike
-  /// every other counter they legitimately move with the mailbox
-  /// fast-path toggles; message semantics and modeled costs do not.
-  /// The pooled/heap split additionally depends on thread scheduling
-  /// (whether a recycle beat the next draw back to the pool) — only
-  /// `envelopes_pooled + envelopes_heap` is deterministic per workload.
+  /// heap fallback when the bounded pool is exhausted.  These diagnose
+  /// the allocation machinery, not message semantics or modeled costs.
+  /// The pooled/heap split depends on thread scheduling (whether a recycle
+  /// beat the next draw back to the pool) — only `envelopes_pooled +
+  /// envelopes_heap` is deterministic per workload.
   std::uint64_t envelopes_inline = 0;
   std::uint64_t envelopes_pooled = 0;
   std::uint64_t envelopes_heap = 0;

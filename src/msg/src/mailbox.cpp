@@ -1,39 +1,17 @@
 #include "hpfcg/msg/mailbox.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "hpfcg/race/detector.hpp"
 #include "hpfcg/util/error.hpp"
 
 namespace hpfcg::msg {
 
-namespace {
-std::atomic<bool> g_pooling{true};
-std::atomic<bool> g_inline{true};
-std::atomic<std::size_t> g_max_pooled{64};
-}  // namespace
-
-void set_buffer_pooling(bool on) {
-  g_pooling.store(on, std::memory_order_relaxed);
-}
-bool buffer_pooling() { return g_pooling.load(std::memory_order_relaxed); }
-void set_inline_payloads(bool on) {
-  g_inline.store(on, std::memory_order_relaxed);
-}
-bool inline_payloads() { return g_inline.load(std::memory_order_relaxed); }
-void set_max_pooled_buffers(std::size_t n) {
-  g_max_pooled.store(n, std::memory_order_relaxed);
-}
-std::size_t max_pooled_buffers() {
-  return g_max_pooled.load(std::memory_order_relaxed);
-}
-
 // ---- Envelope -----------------------------------------------------------
 
 void Envelope::resize_payload(std::size_t bytes) {
   size_ = bytes;
-  if (bytes <= kInlineCapacity && inline_payloads()) {
+  if (bytes <= kInlineCapacity) {
     stored_inline_ = true;
     path_ = EnvelopePath::kInline;
     return;
@@ -67,31 +45,27 @@ Envelope Mailbox::make_envelope(int src, int tag, std::size_t bytes) {
   Envelope env;
   env.src = src;
   env.tag = tag;
-  if (bytes <= Envelope::kInlineCapacity && inline_payloads()) {
+  if (bytes <= Envelope::kInlineCapacity) {
     env.resize_payload(bytes);  // inline: no pool, no heap
     return env;
   }
-  if (buffer_pooling()) {
-    std::vector<std::byte> buf;
-    bool drew = false;
-    {
-      // Lock only for the swap; a possible resize of the drawn buffer (and
-      // the fresh allocation on the exhausted path below) happens unlocked.
-      std::lock_guard<std::mutex> lock(pool_mu_);
-      if (!pool_.empty()) {
-        buf = std::move(pool_.back());
-        pool_.pop_back();
-        drew = true;
-      }
-    }
-    if (drew) {
-      env.adopt_heap(std::move(buf), bytes);
-      return env;
+  std::vector<std::byte> buf;
+  {
+    // Lock only for the swap; a possible resize of the drawn buffer (and
+    // the fresh allocation on the exhausted path below) happens unlocked.
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    if (!pool_.empty()) {
+      buf = std::move(pool_.back());
+      pool_.pop_back();
     }
   }
-  // Pool exhausted (or pooling off): fall back to a fresh tracked heap
-  // buffer.  Bounded by construction — it is owned by this one envelope and
-  // recycle() frees it rather than growing the pool past its cap.
+  if (buf.capacity() != 0) {  // drawn: recycle() parks no empty buffer
+    env.adopt_heap(std::move(buf), bytes);
+    return env;
+  }
+  // Pool exhausted: fall back to a fresh tracked heap buffer.  Bounded by
+  // construction — it is owned by this one envelope and recycle() frees it
+  // rather than growing the pool past its cap.
   env.resize_payload(bytes);
   return env;
 }
@@ -182,11 +156,11 @@ Envelope Mailbox::receive(int src, int tag) {
 }
 
 void Mailbox::recycle(Envelope&& env) {
-  if (env.stored_inline() || !buffer_pooling()) return;
+  if (env.stored_inline()) return;
   std::vector<std::byte> buf = env.release_heap();
   if (buf.capacity() == 0) return;
   std::lock_guard<std::mutex> lock(pool_mu_);
-  if (pool_.size() < max_pooled_buffers()) pool_.push_back(std::move(buf));
+  if (pool_.size() < kMaxPooledBuffers) pool_.push_back(std::move(buf));
 }
 
 std::size_t Mailbox::pending() const {

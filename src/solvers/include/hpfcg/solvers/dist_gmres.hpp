@@ -26,10 +26,7 @@ SolveResult gmres_dist(const DistOp<T>& a, const hpf::DistributedVector<T>& b,
                        const GmresOptions& opts = {}) {
   HPFCG_REQUIRE(opts.restart >= 1, "gmres_dist: restart must be >= 1");
   const std::size_t m = opts.restart;
-  SolveResult res;
-  const double bnorm = std::sqrt(static_cast<double>(hpf::dot_product(b, b)));
-  const double stop =
-      opts.base.rel_tolerance * (bnorm > 0.0 ? bnorm : 1.0);
+  detail::Solve<T> solve(b, opts.base);
 
   std::vector<hpf::DistributedVector<T>> v;
   v.reserve(m + 1);
@@ -42,23 +39,24 @@ SolveResult gmres_dist(const DistOp<T>& a, const hpf::DistributedVector<T>& b,
 
   std::size_t total_steps = 0;
   while (total_steps < opts.base.max_iterations) {
-    a(x, w);
+    solve.matvec(a, x, w);
     hpf::assign(b, v[0]);
     hpf::axpy<T>(T{-1}, w, v[0]);  // v0 = b - A x
     const double beta =
         std::sqrt(static_cast<double>(hpf::dot_product(v[0], v[0])));
-    res.relative_residual = bnorm > 0.0 ? beta / bnorm : beta;
-    if (opts.base.track_residuals && total_steps == 0) {
-      res.residual_history.push_back(beta);
+    // The first cycle's residual opens the history; a restart's is tested,
+    // not recorded (the history holds the least-squares residuals).
+    if (total_steps == 0 ? solve.record(0, beta) : solve.test(beta)) {
+      return solve.finish();
     }
-    if (detail::residual_exit(res, beta, stop)) return res;
     hpf::scale<T>(static_cast<T>(1.0 / beta), v[0]);
     std::fill(g.begin(), g.end(), 0.0);
     g[0] = beta;
 
     std::size_t j = 0;
     for (; j < m && total_steps < opts.base.max_iterations; ++j) {
-      a(v[j], w);
+      const auto iter_span = solve.iteration(total_steps);
+      solve.matvec(a, v[j], w);
       for (std::size_t i = 0; i <= j; ++i) {
         const double hij = static_cast<double>(hpf::dot_product(w, v[i]));
         h[j][i] = hij;
@@ -79,10 +77,7 @@ SolveResult gmres_dist(const DistOp<T>& a, const hpf::DistributedVector<T>& b,
       }
       const double denom =
           std::sqrt(h[j][j] * h[j][j] + h[j][j + 1] * h[j][j + 1]);
-      if (denom == 0.0) {
-        res.breakdown = true;
-        break;
-      }
+      if (solve.breakdown(denom == 0.0)) break;
       cs[j] = h[j][j] / denom;
       sn[j] = h[j][j + 1] / denom;
       h[j][j] = denom;
@@ -91,48 +86,41 @@ SolveResult gmres_dist(const DistOp<T>& a, const hpf::DistributedVector<T>& b,
       g[j] = cs[j] * g[j];
 
       ++total_steps;
-      res.iterations = total_steps;
-      const double rnorm = std::abs(g[j + 1]);
-      res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
-      if (opts.base.track_residuals) res.residual_history.push_back(rnorm);
-      if (!std::isfinite(rnorm)) {  // x takes only the earlier columns
-        res.breakdown = true;
-        break;
-      }
-      if (rnorm <= stop || hnext == 0.0) {
+      const bool done = solve.record(total_steps, std::abs(g[j + 1]));
+      if (solve.res.breakdown) break;  // non-finite: x takes earlier columns
+      if (done || hnext == 0.0) {
         ++j;
         break;
       }
     }
 
-    if (j > 0) {
-      std::vector<double> y(j, 0.0);
-      for (std::size_t ii = j; ii-- > 0;) {
-        double acc = g[ii];
-        for (std::size_t k = ii + 1; k < j; ++k) acc -= h[k][ii] * y[k];
-        y[ii] = acc / h[ii][ii];
-      }
-      for (std::size_t k = 0; k < j; ++k) {
-        hpf::axpy<T>(static_cast<T>(y[k]), v[k], x);
-      }
+    std::vector<double> y(j, 0.0);
+    for (std::size_t ii = j; ii-- > 0;) {
+      double acc = g[ii];
+      for (std::size_t k = ii + 1; k < j; ++k) acc -= h[k][ii] * y[k];
+      y[ii] = acc / h[ii][ii];
     }
-    if (res.breakdown) return res;
+    for (std::size_t k = 0; k < j; ++k) {
+      hpf::axpy<T>(static_cast<T>(y[k]), v[k], x);
+    }
+    if (solve.res.breakdown) return solve.finish();
 
-    if (res.relative_residual * (bnorm > 0.0 ? bnorm : 1.0) <= stop) {
-      a(x, w);
+    // A cycle that converged by its least-squares residual ends on the
+    // true residual: converged stands only if that agrees within 1%.
+    if (solve.res.converged) {
+      solve.matvec(a, x, w);
       auto r = hpf::DistributedVector<T>::aligned_like(b);
       hpf::assign(b, r);
       hpf::axpy<T>(T{-1}, w, r);
       const double true_r =
           std::sqrt(static_cast<double>(hpf::dot_product(r, r)));
-      res.relative_residual = bnorm > 0.0 ? true_r / bnorm : true_r;
-      if (true_r <= stop * 1.01) {
-        res.converged = true;
-        return res;
-      }
+      solve.res.relative_residual =
+          detail::relative_residual(true_r, solve.bnorm());
+      solve.res.converged = true_r <= solve.stop() * 1.01;
+      if (solve.res.converged) return solve.finish();
     }
   }
-  return res;
+  return solve.finish();
 }
 
 }  // namespace hpfcg::solvers

@@ -2,8 +2,13 @@
 // Distributed solver family over the HPF layer — the lowered form of the
 // paper's Figure 2 CG code and its Section 2.1 relatives.
 //
-// Each solver is written once, here: the serial names of serial.hpp run
-// these texts on a one-rank machine.
+// Each solver is written once — here, GMRES in dist_gmres.hpp and the
+// Jacobi iteration in stationary.hpp — and the serial names of serial.hpp
+// run these texts on a one-rank machine.  A text states only its
+// recurrence; one detail::Solve owns what all ten share: the ||b|| merge
+// and stop threshold, the operator and iteration trace spans, the one
+// residual exit (history, trace metrics channel, exit test), the
+// breakdown flag and the rebalance step.
 //
 // Every solver is matrix-format agnostic: it takes the matrix as a
 // distributed linear operator (a callable computing q = A*p on aligned
@@ -11,11 +16,13 @@
 // dense column-wise, CSR and CSC matvec kernels — which is exactly the
 // benchmark axis of the paper (which storage/partitioning feeds CG best).
 //
-// Communication per iteration (reproducing the paper's Section 4 count):
+// Communication per iteration (the paper's Section 4 count; merges per
+// rank, convergence norms included):
 //   CG:        1 matvec + 2 DOT_PRODUCT merges; SAXPYs are local.
-//   BiCG:      2 matvecs (one with A^T) + 2 merges.
-//   BiCGSTAB:  2 matvecs + 4 merges ("greater demand for an efficient
-//              intrinsic", Section 2.1).
+//   PCG:       1 matvec + 1 preconditioner application + 3 merges.
+//   BiCG, CGS: 2 matvecs (BiCG's second with A^T) + 3 merges.
+//   BiCGSTAB:  2 matvecs + 6 merges, 4 inner products and 2 exit norms
+//              ("greater demand for an efficient intrinsic", Section 2.1).
 //
 // The *_fused_* variants below are the communication-avoiding forms: the
 // recurrences are regrouped (Chronopoulos–Gear for CG/PCG) so the inner
@@ -28,7 +35,9 @@
 //   bicgstab_fused_dist:  2 matvecs + 3 merges (vs bicgstab_dist's 6).
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <utility>
 
 #include "hpfcg/hpf/dist_vector.hpp"
 #include "hpfcg/hpf/intrinsics.hpp"
@@ -55,42 +64,99 @@ using DistPrec = DistOp<T>;
 using RebalanceHook = std::function<hpf::DistPtr()>;
 
 namespace detail {
-/// record_exit, also publishing the evaluation on the solver's
-/// per-iteration trace metrics channel (when tracing).
-inline bool record_exit(msg::Process& proc, SolveResult& res,
-                        const SolveOptions& opts, double rnorm, double bnorm,
-                        double stop) {
-  proc.trace_iteration(res.iterations, rnorm);
-  return record_exit(res, opts, rnorm, bnorm, stop);
-}
-
-/// Apply a distributed operator under a trace span (kMatvec / kPrecond).
+/// What the distributed solver texts share (see the file comment).
+/// Construction makes the solve's first merge, ||b||.  Members are inline
+/// and O(1) beyond the operator or migration they run: a loop makes only
+/// the merges, allocations and indirect calls its recurrence spells out.
 template <class T>
-void traced_apply(trace::RankTrace* trc, trace::SpanKind kind,
-                  const DistOp<T>& op, const hpf::DistributedVector<T>& in,
-                  hpf::DistributedVector<T>& out) {
-  trace::SpanScope span(trc, kind, 0, in.local().size() * sizeof(T));
-  op(in, out);
-}
+class Solve {
+ public:
+  using Vector = hpf::DistributedVector<T>;
 
-/// True when iteration k (0-based, about to end) is a rebalance point.
-inline bool rebalance_due(const SolveOptions& opts,
-                          const RebalanceHook& hook, std::size_t k) {
-  return opts.rebalance_every != 0 && hook != nullptr &&
-         (k + 1) % opts.rebalance_every == 0;
-}
+  Solve(const Vector& b, const SolveOptions& opts)
+      : proc_(b.proc()),
+        trc_(b.proc().tracer_rank()),
+        opts_(opts),
+        bnorm_(std::sqrt(static_cast<double>(hpf::dot_product(b, b)))),
+        stop_(stop_threshold(opts.rel_tolerance, bnorm_)) {}
 
-/// Invoke the hook and, when it migrated, move the live iteration vectors
-/// onto the new distribution.  Dead scratch vectors are the caller's
-/// problem (rebuilt empty on the new cuts).  Returns the new distribution
-/// or nullptr when nothing moved.
-template <class T, class... Live>
-hpf::DistPtr apply_rebalance(const RebalanceHook& hook, Live&... live) {
-  hpf::DistPtr nd = hook();
-  if (nd == nullptr) return nullptr;
-  ((live = hpf::redistribute(live, nd)), ...);
-  return nd;
-}
+  [[nodiscard]] double bnorm() const { return bnorm_; }
+  /// Converged once a recorded ||r|| reaches this.
+  [[nodiscard]] double stop() const { return stop_; }
+
+  /// out = A in, under a kMatvec span.
+  void matvec(const DistOp<T>& a, const Vector& in, Vector& out) const {
+    apply(trace::SpanKind::kMatvec, a, in, out);
+  }
+
+  /// out = M^{-1} in, under a kPrecond span.
+  void precond(const DistPrec<T>& m_inv, const Vector& in,
+               Vector& out) const {
+    apply(trace::SpanKind::kPrecond, m_inv, in, out);
+  }
+
+  /// Iteration k's kIteration span, open until the returned scope ends.
+  [[nodiscard]] trace::SpanScope iteration(std::size_t k) const {
+    return trace::SpanScope(trc_, trace::SpanKind::kIteration,
+                            static_cast<std::uint32_t>(k));
+  }
+
+  /// The one exit: records `rnorm` as the residual after `iterations`
+  /// steps (count, exit residual, history, trace metrics channel), then
+  /// runs the exit test.  True when the solve must stop.
+  bool record(std::size_t iterations, double rnorm) {
+    res.iterations = iterations;
+    proc_.trace_iteration(iterations, rnorm);
+    return record_exit(res, opts_, rnorm, bnorm_, stop_);
+  }
+
+  /// The exit test alone, on a residual that is not recorded (a GMRES
+  /// restart's ||b - A x||).  True when the solve must stop.
+  bool test(double rnorm) {
+    res.relative_residual = relative_residual(rnorm, bnorm_);
+    return residual_exit(res, rnorm, stop_);
+  }
+
+  /// Flags a breakdown when `broke` holds; returns `broke`.
+  bool breakdown(bool broke) {
+    if (broke) res.breakdown = true;
+    return broke;
+  }
+
+  /// The rebalance step closing iteration k (0-based): every
+  /// rebalance_every iterations the hook may migrate the operator, and the
+  /// live vectors follow onto its new cuts.  True when they moved; the
+  /// caller then rebuilds its scratch vectors there.
+  template <class... Live>
+  bool rebalance(const RebalanceHook& hook, std::size_t k, Live&... live) {
+    if (opts_.rebalance_every == 0 || hook == nullptr ||
+        (k + 1) % opts_.rebalance_every != 0) {
+      return false;
+    }
+    const hpf::DistPtr nd = hook();
+    if (nd == nullptr) return false;
+    ((live = hpf::redistribute(live, nd)), ...);
+    return true;
+  }
+
+  [[nodiscard]] SolveResult finish() { return std::move(res); }
+
+  /// What finish() hands over; GMRES's true-residual check amends it.
+  SolveResult res;
+
+ private:
+  void apply(trace::SpanKind kind, const DistOp<T>& op, const Vector& in,
+             Vector& out) const {
+    trace::SpanScope span(trc_, kind, 0, in.local().size() * sizeof(T));
+    op(in, out);
+  }
+
+  msg::Process& proc_;
+  trace::RankTrace* const trc_;
+  const SolveOptions& opts_;
+  const double bnorm_;
+  const double stop_;
+};
 }  // namespace detail
 
 /// Distributed CG (Figure 2).  x holds the initial guess; all vectors must
@@ -100,32 +166,25 @@ SolveResult cg_dist(const DistOp<T>& a, const hpf::DistributedVector<T>& b,
                     hpf::DistributedVector<T>& x,
                     const SolveOptions& opts = {},
                     const RebalanceHook& rebalance = {}) {
-  SolveResult res;
-  trace::RankTrace* const trc = b.proc().tracer_rank();
-  const double bnorm = std::sqrt(static_cast<double>(hpf::dot_product(b, b)));
-  const double stop = opts.rel_tolerance * (bnorm > 0.0 ? bnorm : 1.0);
+  detail::Solve<T> solve(b, opts);
 
   auto r = hpf::DistributedVector<T>::aligned_like(b);
   auto p = hpf::DistributedVector<T>::aligned_like(b);
   auto q = hpf::DistributedVector<T>::aligned_like(b);
 
-  detail::traced_apply(trc, trace::SpanKind::kMatvec, a, x, q);
+  solve.matvec(a, x, q);
   hpf::assign(b, r);
   hpf::axpy<T>(T{-1}, q, r);  // r = b - A x0
   hpf::assign(r, p);
   T rho = hpf::dot_product(r, r);
   const double rnorm0 = std::sqrt(static_cast<double>(rho));
-  if (detail::record_exit(b.proc(), res, opts, rnorm0, bnorm, stop)) return res;
+  if (solve.record(0, rnorm0)) return solve.finish();
 
   for (std::size_t k = 0; k < opts.max_iterations; ++k) {
-    trace::SpanScope iter_span(trc, trace::SpanKind::kIteration,
-                               static_cast<std::uint32_t>(k));
-    detail::traced_apply(trc, trace::SpanKind::kMatvec, a, p, q);
+    const auto iter_span = solve.iteration(k);
+    solve.matvec(a, p, q);
     const T pq = hpf::dot_product(p, q);
-    if (pq == T{}) {
-      res.breakdown = true;
-      break;
-    }
+    if (solve.breakdown(pq == T{})) break;
     const T alpha = rho / pq;
     hpf::axpy<T>(alpha, p, x);   // x = x + alpha p   (saxpy)
     hpf::axpy<T>(-alpha, q, r);  // r = r - alpha q   (saxpy)
@@ -134,21 +193,17 @@ SolveResult cg_dist(const DistOp<T>& a, const hpf::DistributedVector<T>& b,
     // literal third DOT_PRODUCT per iteration never happens here.
     const T rho_new = hpf::dot_product(r, r);
     const double rnorm = std::sqrt(static_cast<double>(rho_new));
-    res.iterations = k + 1;
-    if (detail::record_exit(b.proc(), res, opts, rnorm, bnorm, stop)) {
-      return res;
-    }
+    if (solve.record(k + 1, rnorm)) return solve.finish();
     const T beta = rho_new / rho;
     hpf::aypx<T>(beta, r, p);  // p = beta p + r   (saypx, Figure 2)
     rho = rho_new;
     // Live vectors at this point: x, r, p.  q is pure scratch — rebuilt
     // empty on the new cuts rather than migrated.
-    if (detail::rebalance_due(opts, rebalance, k) &&
-        detail::apply_rebalance<T>(rebalance, x, r, p)) {
+    if (solve.rebalance(rebalance, k, x, r, p)) {
       q = hpf::DistributedVector<T>::aligned_like(x);
     }
   }
-  return res;
+  return solve.finish();
 }
 
 /// Communication-avoiding CG (Chronopoulos–Gear single-reduction form):
@@ -163,68 +218,52 @@ SolveResult cg_fused_dist(const DistOp<T>& a,
                           hpf::DistributedVector<T>& x,
                           const SolveOptions& opts = {},
                           const RebalanceHook& rebalance = {}) {
-  SolveResult res;
-  trace::RankTrace* const trc = b.proc().tracer_rank();
-  const double bnorm = std::sqrt(static_cast<double>(hpf::dot_product(b, b)));
-  const double stop = opts.rel_tolerance * (bnorm > 0.0 ? bnorm : 1.0);
+  detail::Solve<T> solve(b, opts);
 
   auto r = hpf::DistributedVector<T>::aligned_like(b);
   auto w = hpf::DistributedVector<T>::aligned_like(b);
   auto p = hpf::DistributedVector<T>::aligned_like(b);
   auto s = hpf::DistributedVector<T>::aligned_like(b);
 
-  detail::traced_apply(trc, trace::SpanKind::kMatvec, a, x, w);  // w = A x0
+  solve.matvec(a, x, w);  // w = A x0
   hpf::assign(b, r);
   hpf::axpy<T>(T{-1}, w, r);  // r = b - A x0
-  // Extra start-up matvec: w = A r.
-  detail::traced_apply(trc, trace::SpanKind::kMatvec, a, r, w);
+  solve.matvec(a, r, w);      // extra start-up matvec: w = A r
   const auto d0 = hpf::dot_products(r, r, w, r);  // {gamma, delta}, 1 merge
   T gamma = d0[0];
   T delta = d0[1];
   const double rnorm0 = std::sqrt(static_cast<double>(gamma));
-  if (detail::record_exit(b.proc(), res, opts, rnorm0, bnorm, stop)) return res;
-  if (delta == T{}) {
-    res.breakdown = true;
-    return res;
-  }
+  if (solve.record(0, rnorm0)) return solve.finish();
+  if (solve.breakdown(delta == T{})) return solve.finish();
   T alpha = gamma / delta;
   hpf::assign(r, p);
   hpf::assign(w, s);
 
   for (std::size_t k = 0; k < opts.max_iterations; ++k) {
-    trace::SpanScope iter_span(trc, trace::SpanKind::kIteration,
-                               static_cast<std::uint32_t>(k));
+    const auto iter_span = solve.iteration(k);
     hpf::axpy<T>(alpha, p, x);   // x = x + alpha p
     hpf::axpy<T>(-alpha, s, r);  // r = r - alpha s   (s = A p by recurrence)
-    // The iteration's only matvec.
-    detail::traced_apply(trc, trace::SpanKind::kMatvec, a, r, w);
+    solve.matvec(a, r, w);       // the iteration's only matvec
     // The iteration's only reduction: {(r,r), (w,r)} in one tree walk.
     const auto d = hpf::dot_products(r, r, w, r);
     const T gamma_new = d[0];
     const T delta_new = d[1];
     const double rnorm = std::sqrt(static_cast<double>(gamma_new));
-    res.iterations = k + 1;
-    if (detail::record_exit(b.proc(), res, opts, rnorm, bnorm, stop)) {
-      return res;
-    }
+    if (solve.record(k + 1, rnorm)) return solve.finish();
     const T beta = gamma_new / gamma;
     const T denom = delta_new - beta * gamma_new / alpha;
-    if (denom == T{}) {
-      res.breakdown = true;
-      break;
-    }
+    if (solve.breakdown(denom == T{})) break;
     alpha = gamma_new / denom;
     hpf::aypx<T>(beta, r, p);  // p = r + beta p
     hpf::aypx<T>(beta, w, s);  // s = w + beta s  (= A p, no extra matvec)
     gamma = gamma_new;
     // Live vectors: x, r, p, and the recurrence vector s = A p (which MUST
     // migrate — recomputing it would cost a matvec).  w is scratch.
-    if (detail::rebalance_due(opts, rebalance, k) &&
-        detail::apply_rebalance<T>(rebalance, x, r, p, s)) {
+    if (solve.rebalance(rebalance, k, x, r, p, s)) {
       w = hpf::DistributedVector<T>::aligned_like(x);
     }
   }
-  return res;
+  return solve.finish();
 }
 
 /// Distributed preconditioned CG.
@@ -234,43 +273,33 @@ SolveResult pcg_dist(const DistOp<T>& a, const DistPrec<T>& m_inv,
                      hpf::DistributedVector<T>& x,
                      const SolveOptions& opts = {},
                      const RebalanceHook& rebalance = {}) {
-  SolveResult res;
-  trace::RankTrace* const trc = b.proc().tracer_rank();
-  const double bnorm = std::sqrt(static_cast<double>(hpf::dot_product(b, b)));
-  const double stop = opts.rel_tolerance * (bnorm > 0.0 ? bnorm : 1.0);
+  detail::Solve<T> solve(b, opts);
 
   auto r = hpf::DistributedVector<T>::aligned_like(b);
   auto z = hpf::DistributedVector<T>::aligned_like(b);
   auto p = hpf::DistributedVector<T>::aligned_like(b);
   auto q = hpf::DistributedVector<T>::aligned_like(b);
 
-  detail::traced_apply(trc, trace::SpanKind::kMatvec, a, x, q);
+  solve.matvec(a, x, q);
   hpf::assign(b, r);
   hpf::axpy<T>(T{-1}, q, r);
   double rnorm = std::sqrt(static_cast<double>(hpf::dot_product(r, r)));
-  if (detail::record_exit(b.proc(), res, opts, rnorm, bnorm, stop)) return res;
-  detail::traced_apply(trc, trace::SpanKind::kPrecond, m_inv, r, z);
+  if (solve.record(0, rnorm)) return solve.finish();
+  solve.precond(m_inv, r, z);
   hpf::assign(z, p);
   T rho = hpf::dot_product(r, z);
 
   for (std::size_t k = 0; k < opts.max_iterations; ++k) {
-    trace::SpanScope iter_span(trc, trace::SpanKind::kIteration,
-                               static_cast<std::uint32_t>(k));
-    detail::traced_apply(trc, trace::SpanKind::kMatvec, a, p, q);
+    const auto iter_span = solve.iteration(k);
+    solve.matvec(a, p, q);
     const T pq = hpf::dot_product(p, q);
-    if (pq == T{} || rho == T{}) {
-      res.breakdown = true;
-      break;
-    }
+    if (solve.breakdown(pq == T{} || rho == T{})) break;
     const T alpha = rho / pq;
     hpf::axpy<T>(alpha, p, x);
     hpf::axpy<T>(-alpha, q, r);
     rnorm = std::sqrt(static_cast<double>(hpf::dot_product(r, r)));
-    res.iterations = k + 1;
-    if (detail::record_exit(b.proc(), res, opts, rnorm, bnorm, stop)) {
-      return res;
-    }
-    detail::traced_apply(trc, trace::SpanKind::kPrecond, m_inv, r, z);
+    if (solve.record(k + 1, rnorm)) return solve.finish();
+    solve.precond(m_inv, r, z);
     const T rho_new = hpf::dot_product(r, z);
     const T beta = rho_new / rho;
     hpf::aypx<T>(beta, z, p);
@@ -279,13 +308,12 @@ SolveResult pcg_dist(const DistOp<T>& a, const DistPrec<T>& m_inv,
     // is scratch; both rebuilt on the new cuts.  The preconditioner must
     // follow the migration itself (e.g. via make_csr_rebalancer's
     // on_migrate callback) — jacobi_dist's captured diagonal does not.
-    if (detail::rebalance_due(opts, rebalance, k) &&
-        detail::apply_rebalance<T>(rebalance, x, r, p)) {
+    if (solve.rebalance(rebalance, k, x, r, p)) {
       z = hpf::DistributedVector<T>::aligned_like(x);
       q = hpf::DistributedVector<T>::aligned_like(x);
     }
   }
-  return res;
+  return solve.finish();
 }
 
 /// Communication-avoiding preconditioned CG: ONE three-wide merge per
@@ -298,10 +326,7 @@ SolveResult pcg_fused_dist(const DistOp<T>& a, const DistPrec<T>& m_inv,
                            hpf::DistributedVector<T>& x,
                            const SolveOptions& opts = {},
                            const RebalanceHook& rebalance = {}) {
-  SolveResult res;
-  trace::RankTrace* const trc = b.proc().tracer_rank();
-  const double bnorm = std::sqrt(static_cast<double>(hpf::dot_product(b, b)));
-  const double stop = opts.rel_tolerance * (bnorm > 0.0 ? bnorm : 1.0);
+  detail::Solve<T> solve(b, opts);
 
   auto r = hpf::DistributedVector<T>::aligned_like(b);
   auto u = hpf::DistributedVector<T>::aligned_like(b);
@@ -309,65 +334,49 @@ SolveResult pcg_fused_dist(const DistOp<T>& a, const DistPrec<T>& m_inv,
   auto p = hpf::DistributedVector<T>::aligned_like(b);
   auto s = hpf::DistributedVector<T>::aligned_like(b);
 
-  detail::traced_apply(trc, trace::SpanKind::kMatvec, a, x, w);
+  solve.matvec(a, x, w);
   hpf::assign(b, r);
   hpf::axpy<T>(T{-1}, w, r);
-  detail::traced_apply(trc, trace::SpanKind::kPrecond, m_inv, r, u);
-  detail::traced_apply(trc, trace::SpanKind::kMatvec, a, u, w);
+  solve.precond(m_inv, r, u);
+  solve.matvec(a, u, w);
   const auto d0 = hpf::dot_products(r, u, w, u, r, r);  // one 3-wide merge
   T gamma = d0[0];
   T delta = d0[1];
   const double rnorm0 = std::sqrt(static_cast<double>(d0[2]));
-  if (detail::record_exit(b.proc(), res, opts, rnorm0, bnorm, stop)) return res;
-  if (delta == T{}) {
-    res.breakdown = true;
-    return res;
-  }
+  if (solve.record(0, rnorm0)) return solve.finish();
+  if (solve.breakdown(delta == T{})) return solve.finish();
   T alpha = gamma / delta;
   hpf::assign(u, p);
   hpf::assign(w, s);
 
   for (std::size_t k = 0; k < opts.max_iterations; ++k) {
-    trace::SpanScope iter_span(trc, trace::SpanKind::kIteration,
-                               static_cast<std::uint32_t>(k));
+    const auto iter_span = solve.iteration(k);
     hpf::axpy<T>(alpha, p, x);
     hpf::axpy<T>(-alpha, s, r);  // s = A p by recurrence
-    detail::traced_apply(trc, trace::SpanKind::kPrecond, m_inv, r, u);
-    detail::traced_apply(trc, trace::SpanKind::kMatvec, a, u, w);
+    solve.precond(m_inv, r, u);
+    solve.matvec(a, u, w);
     // The iteration's only reduction: beta/alpha numerators + convergence.
     const auto d = hpf::dot_products(r, u, w, u, r, r);
     const T gamma_new = d[0];
     const T delta_new = d[1];
     const double rnorm = std::sqrt(static_cast<double>(d[2]));
-    res.iterations = k + 1;
-    if (detail::record_exit(b.proc(), res, opts, rnorm, bnorm, stop)) {
-      return res;
-    }
-    if (gamma == T{}) {
-      res.breakdown = true;
-      break;
-    }
+    if (solve.record(k + 1, rnorm)) return solve.finish();
+    if (solve.breakdown(gamma == T{})) break;
     const T beta = gamma_new / gamma;
     const T denom = delta_new - beta * gamma_new / alpha;
-    if (denom == T{}) {
-      res.breakdown = true;
-      break;
-    }
+    if (solve.breakdown(denom == T{})) break;
     alpha = gamma_new / denom;
     hpf::aypx<T>(beta, u, p);  // p = u + beta p
     hpf::aypx<T>(beta, w, s);  // s = w + beta s
     gamma = gamma_new;
-    // Live vectors: x, r, p, and the recurrence vector s = A p.  u and w
-    // are recomputed from r next iteration — rebuilt on the new cuts.  The
-    // preconditioner must follow the migration itself (e.g. via
-    // make_csr_rebalancer's on_migrate callback).
-    if (detail::rebalance_due(opts, rebalance, k) &&
-        detail::apply_rebalance<T>(rebalance, x, r, p, s)) {
+    // Live vectors: x, r, p and s = A p; u and w are recomputed from r.
+    // The preconditioner follows the migration itself, as in pcg_dist.
+    if (solve.rebalance(rebalance, k, x, r, p, s)) {
       u = hpf::DistributedVector<T>::aligned_like(x);
       w = hpf::DistributedVector<T>::aligned_like(x);
     }
   }
-  return res;
+  return solve.finish();
 }
 
 /// Distributed BiCG: needs both q = A p and qt = A^T pt.
@@ -376,10 +385,7 @@ SolveResult bicg_dist(const DistOp<T>& a, const DistOp<T>& a_transpose,
                       const hpf::DistributedVector<T>& b,
                       hpf::DistributedVector<T>& x,
                       const SolveOptions& opts = {}) {
-  SolveResult res;
-  trace::RankTrace* const trc = b.proc().tracer_rank();
-  const double bnorm = std::sqrt(static_cast<double>(hpf::dot_product(b, b)));
-  const double stop = opts.rel_tolerance * (bnorm > 0.0 ? bnorm : 1.0);
+  detail::Solve<T> solve(b, opts);
 
   auto r = hpf::DistributedVector<T>::aligned_like(b);
   auto rt = hpf::DistributedVector<T>::aligned_like(b);
@@ -388,7 +394,7 @@ SolveResult bicg_dist(const DistOp<T>& a, const DistOp<T>& a_transpose,
   auto q = hpf::DistributedVector<T>::aligned_like(b);
   auto qt = hpf::DistributedVector<T>::aligned_like(b);
 
-  detail::traced_apply(trc, trace::SpanKind::kMatvec, a, x, q);
+  solve.matvec(a, x, q);
   hpf::assign(b, r);
   hpf::axpy<T>(T{-1}, q, r);
   hpf::assign(r, rt);
@@ -396,50 +402,37 @@ SolveResult bicg_dist(const DistOp<T>& a, const DistOp<T>& a_transpose,
   hpf::assign(rt, pt);
   T rho = hpf::dot_product(rt, r);
   double rnorm = std::sqrt(static_cast<double>(hpf::dot_product(r, r)));
-  if (detail::record_exit(b.proc(), res, opts, rnorm, bnorm, stop)) return res;
+  if (solve.record(0, rnorm)) return solve.finish();
 
   for (std::size_t k = 0; k < opts.max_iterations; ++k) {
-    trace::SpanScope iter_span(trc, trace::SpanKind::kIteration,
-                               static_cast<std::uint32_t>(k));
-    if (rho == T{}) {
-      res.breakdown = true;
-      break;
-    }
-    detail::traced_apply(trc, trace::SpanKind::kMatvec, a, p, q);
-    detail::traced_apply(trc, trace::SpanKind::kMatvec, a_transpose, pt, qt);
+    const auto iter_span = solve.iteration(k);
+    if (solve.breakdown(rho == T{})) break;
+    solve.matvec(a, p, q);
+    solve.matvec(a_transpose, pt, qt);
     const T ptq = hpf::dot_product(pt, q);
-    if (ptq == T{}) {
-      res.breakdown = true;
-      break;
-    }
+    if (solve.breakdown(ptq == T{})) break;
     const T alpha = rho / ptq;
     hpf::axpy<T>(alpha, p, x);
     hpf::axpy<T>(-alpha, q, r);
     hpf::axpy<T>(-alpha, qt, rt);
     rnorm = std::sqrt(static_cast<double>(hpf::dot_product(r, r)));
-    res.iterations = k + 1;
-    if (detail::record_exit(b.proc(), res, opts, rnorm, bnorm, stop)) {
-      return res;
-    }
+    if (solve.record(k + 1, rnorm)) return solve.finish();
     const T rho_new = hpf::dot_product(rt, r);
     const T beta = rho_new / rho;
     hpf::aypx<T>(beta, r, p);
     hpf::aypx<T>(beta, rt, pt);
     rho = rho_new;
   }
-  return res;
+  return solve.finish();
 }
 
-/// Distributed BiCGSTAB — avoids A^T, pays four DOT_PRODUCT merges.
+/// Distributed BiCGSTAB — avoids A^T, pays six DOT_PRODUCT merges.
 template <class T>
 SolveResult bicgstab_dist(const DistOp<T>& a,
                           const hpf::DistributedVector<T>& b,
                           hpf::DistributedVector<T>& x,
                           const SolveOptions& opts = {}) {
-  SolveResult res;
-  trace::RankTrace* const trc = b.proc().tracer_rank();
-  const double bnorm = std::sqrt(static_cast<double>(hpf::dot_product(b, b)));
-  const double stop = opts.rel_tolerance * (bnorm > 0.0 ? bnorm : 1.0);
+  detail::Solve<T> solve(b, opts);
 
   auto r = hpf::DistributedVector<T>::aligned_like(b);
   auto rt = hpf::DistributedVector<T>::aligned_like(b);
@@ -448,22 +441,18 @@ SolveResult bicgstab_dist(const DistOp<T>& a,
   auto s = hpf::DistributedVector<T>::aligned_like(b);
   auto t = hpf::DistributedVector<T>::aligned_like(b);
 
-  detail::traced_apply(trc, trace::SpanKind::kMatvec, a, x, t);
+  solve.matvec(a, x, t);
   hpf::assign(b, r);
   hpf::axpy<T>(T{-1}, t, r);
   hpf::assign(r, rt);
   double rnorm = std::sqrt(static_cast<double>(hpf::dot_product(r, r)));
-  if (detail::record_exit(b.proc(), res, opts, rnorm, bnorm, stop)) return res;
+  if (solve.record(0, rnorm)) return solve.finish();
 
   T rho_old{1}, alpha{1}, omega{1};
   for (std::size_t k = 0; k < opts.max_iterations; ++k) {
-    trace::SpanScope iter_span(trc, trace::SpanKind::kIteration,
-                               static_cast<std::uint32_t>(k));
+    const auto iter_span = solve.iteration(k);
     const T rho = hpf::dot_product(rt, r);
-    if (rho == T{} || omega == T{}) {
-      res.breakdown = true;
-      break;
-    }
+    if (solve.breakdown(rho == T{} || omega == T{})) break;
     if (k == 0) {
       hpf::assign(r, p);
     } else {
@@ -472,43 +461,32 @@ SolveResult bicgstab_dist(const DistOp<T>& a,
       hpf::axpy<T>(-omega, v, p);
       hpf::aypx<T>(beta, r, p);
     }
-    detail::traced_apply(trc, trace::SpanKind::kMatvec, a, p, v);
+    solve.matvec(a, p, v);
     const T rtv = hpf::dot_product(rt, v);
-    if (rtv == T{}) {
-      res.breakdown = true;
-      break;
-    }
+    if (solve.breakdown(rtv == T{})) break;
     alpha = rho / rtv;
     hpf::assign(r, s);
     hpf::axpy<T>(-alpha, v, s);
-    const double snorm =
-        std::sqrt(static_cast<double>(hpf::dot_product(s, s)));
-    if (snorm <= stop) {
+    const double snorm = std::sqrt(static_cast<double>(hpf::dot_product(s, s)));
+    if (snorm <= solve.stop()) {
       hpf::axpy<T>(alpha, p, x);
-      res.iterations = k + 1;
-      detail::record_exit(b.proc(), res, opts, snorm, bnorm, stop);  // converged
-      return res;
+      solve.record(k + 1, snorm);  // converged
+      return solve.finish();
     }
-    detail::traced_apply(trc, trace::SpanKind::kMatvec, a, s, t);
+    solve.matvec(a, s, t);
     const T ts = hpf::dot_product(t, s);
     const T tt = hpf::dot_product(t, t);
-    if (tt == T{}) {
-      res.breakdown = true;
-      break;
-    }
+    if (solve.breakdown(tt == T{})) break;
     omega = ts / tt;
     hpf::axpy<T>(alpha, p, x);
     hpf::axpy<T>(omega, s, x);
     hpf::assign(s, r);
     hpf::axpy<T>(-omega, t, r);
     rnorm = std::sqrt(static_cast<double>(hpf::dot_product(r, r)));
-    res.iterations = k + 1;
-    if (detail::record_exit(b.proc(), res, opts, rnorm, bnorm, stop)) {
-      return res;
-    }
+    if (solve.record(k + 1, rnorm)) return solve.finish();
     rho_old = rho;
   }
-  return res;
+  return solve.finish();
 }
 
 /// Fused-reduction BiCGSTAB: three merge points per iteration against
@@ -522,10 +500,7 @@ SolveResult bicgstab_fused_dist(const DistOp<T>& a,
                                 const hpf::DistributedVector<T>& b,
                                 hpf::DistributedVector<T>& x,
                                 const SolveOptions& opts = {}) {
-  SolveResult res;
-  trace::RankTrace* const trc = b.proc().tracer_rank();
-  const double bnorm = std::sqrt(static_cast<double>(hpf::dot_product(b, b)));
-  const double stop = opts.rel_tolerance * (bnorm > 0.0 ? bnorm : 1.0);
+  detail::Solve<T> solve(b, opts);
 
   auto r = hpf::DistributedVector<T>::aligned_like(b);
   auto rt = hpf::DistributedVector<T>::aligned_like(b);
@@ -534,7 +509,7 @@ SolveResult bicgstab_fused_dist(const DistOp<T>& a,
   auto s = hpf::DistributedVector<T>::aligned_like(b);
   auto t = hpf::DistributedVector<T>::aligned_like(b);
 
-  detail::traced_apply(trc, trace::SpanKind::kMatvec, a, x, t);
+  solve.matvec(a, x, t);
   hpf::assign(b, r);
   hpf::axpy<T>(T{-1}, t, r);
   hpf::assign(r, rt);
@@ -542,16 +517,12 @@ SolveResult bicgstab_fused_dist(const DistOp<T>& a,
   const auto d0 = hpf::dot_products(r, r, rt, r);
   const double rnorm0 = std::sqrt(static_cast<double>(d0[0]));
   T rho = d0[1];
-  if (detail::record_exit(b.proc(), res, opts, rnorm0, bnorm, stop)) return res;
+  if (solve.record(0, rnorm0)) return solve.finish();
 
   T rho_old{1}, alpha{1}, omega{1};
   for (std::size_t k = 0; k < opts.max_iterations; ++k) {
-    trace::SpanScope iter_span(trc, trace::SpanKind::kIteration,
-                               static_cast<std::uint32_t>(k));
-    if (rho == T{} || omega == T{}) {
-      res.breakdown = true;
-      break;
-    }
+    const auto iter_span = solve.iteration(k);
+    if (solve.breakdown(rho == T{} || omega == T{})) break;
     if (k == 0) {
       hpf::assign(r, p);
     } else {
@@ -559,32 +530,25 @@ SolveResult bicgstab_fused_dist(const DistOp<T>& a,
       hpf::axpy<T>(-omega, v, p);
       hpf::aypx<T>(beta, r, p);  // p = r + beta (p - omega v)
     }
-    detail::traced_apply(trc, trace::SpanKind::kMatvec, a, p, v);
+    solve.matvec(a, p, v);
     const T rtv = hpf::dot_product(rt, v);  // merge point 1 (width 1)
-    if (rtv == T{}) {
-      res.breakdown = true;
-      break;
-    }
+    if (solve.breakdown(rtv == T{})) break;
     alpha = rho / rtv;
     hpf::assign(r, s);
     hpf::axpy<T>(-alpha, v, s);
     // Unconditional: the s-norm check rides the next merge.
-    detail::traced_apply(trc, trace::SpanKind::kMatvec, a, s, t);
+    solve.matvec(a, s, t);
     // Merge point 2 (width 3): omega numerator/denominator + s-norm.
     const auto d2 = hpf::dot_products(t, s, t, t, s, s);
     const T ts = d2[0];
     const T tt = d2[1];
     const double snorm = std::sqrt(static_cast<double>(d2[2]));
-    if (snorm <= stop) {
+    if (snorm <= solve.stop()) {
       hpf::axpy<T>(alpha, p, x);
-      res.iterations = k + 1;
-      detail::record_exit(b.proc(), res, opts, snorm, bnorm, stop);  // converged
-      return res;
+      solve.record(k + 1, snorm);  // converged
+      return solve.finish();
     }
-    if (tt == T{}) {
-      res.breakdown = true;
-      break;
-    }
+    if (solve.breakdown(tt == T{})) break;
     omega = ts / tt;
     hpf::axpy<T>(alpha, p, x);
     hpf::axpy<T>(omega, s, x);
@@ -593,14 +557,11 @@ SolveResult bicgstab_fused_dist(const DistOp<T>& a,
     // Merge point 3 (width 2): convergence norm + next iteration's rho.
     const auto d3 = hpf::dot_products(r, r, rt, r);
     const double rnorm = std::sqrt(static_cast<double>(d3[0]));
-    res.iterations = k + 1;
-    if (detail::record_exit(b.proc(), res, opts, rnorm, bnorm, stop)) {
-      return res;
-    }
+    if (solve.record(k + 1, rnorm)) return solve.finish();
     rho_old = rho;
     rho = d3[1];
   }
-  return res;
+  return solve.finish();
 }
 
 /// Distributed CGS — Section 2.1's Conjugate Gradient Squared: avoids A^T
@@ -611,10 +572,7 @@ template <class T>
 SolveResult cgs_dist(const DistOp<T>& a, const hpf::DistributedVector<T>& b,
                      hpf::DistributedVector<T>& x,
                      const SolveOptions& opts = {}) {
-  SolveResult res;
-  trace::RankTrace* const trc = b.proc().tracer_rank();
-  const double bnorm = std::sqrt(static_cast<double>(hpf::dot_product(b, b)));
-  const double stop = opts.rel_tolerance * (bnorm > 0.0 ? bnorm : 1.0);
+  detail::Solve<T> solve(b, opts);
 
   auto r = hpf::DistributedVector<T>::aligned_like(b);
   auto rt = hpf::DistributedVector<T>::aligned_like(b);
@@ -625,22 +583,18 @@ SolveResult cgs_dist(const DistOp<T>& a, const hpf::DistributedVector<T>& b,
   auto uq = hpf::DistributedVector<T>::aligned_like(b);
   auto t = hpf::DistributedVector<T>::aligned_like(b);
 
-  detail::traced_apply(trc, trace::SpanKind::kMatvec, a, x, t);
+  solve.matvec(a, x, t);
   hpf::assign(b, r);
   hpf::axpy<T>(T{-1}, t, r);
   hpf::assign(r, rt);
   double rnorm = std::sqrt(static_cast<double>(hpf::dot_product(r, r)));
-  if (detail::record_exit(b.proc(), res, opts, rnorm, bnorm, stop)) return res;
+  if (solve.record(0, rnorm)) return solve.finish();
 
   T rho_old{1};
   for (std::size_t k = 0; k < opts.max_iterations; ++k) {
-    trace::SpanScope iter_span(trc, trace::SpanKind::kIteration,
-                               static_cast<std::uint32_t>(k));
+    const auto iter_span = solve.iteration(k);
     const T rho = hpf::dot_product(rt, r);
-    if (rho == T{}) {
-      res.breakdown = true;
-      break;
-    }
+    if (solve.breakdown(rho == T{})) break;
     if (k == 0) {
       hpf::assign(r, u);
       hpf::assign(u, p);
@@ -656,12 +610,9 @@ SolveResult cgs_dist(const DistOp<T>& a, const hpf::DistributedVector<T>& b,
       hpf::scale<T>(beta, p);
       hpf::axpy<T>(T{1}, u, p);
     }
-    detail::traced_apply(trc, trace::SpanKind::kMatvec, a, p, vhat);
+    solve.matvec(a, p, vhat);
     const T sigma = hpf::dot_product(rt, vhat);
-    if (sigma == T{}) {
-      res.breakdown = true;
-      break;
-    }
+    if (solve.breakdown(sigma == T{})) break;
     const T alpha = rho / sigma;
     // q = u - alpha*vhat;  uq = u + q
     hpf::assign(u, q);
@@ -669,16 +620,13 @@ SolveResult cgs_dist(const DistOp<T>& a, const hpf::DistributedVector<T>& b,
     hpf::assign(u, uq);
     hpf::axpy<T>(T{1}, q, uq);
     hpf::axpy<T>(alpha, uq, x);
-    detail::traced_apply(trc, trace::SpanKind::kMatvec, a, uq, t);
+    solve.matvec(a, uq, t);
     hpf::axpy<T>(-alpha, t, r);
     rnorm = std::sqrt(static_cast<double>(hpf::dot_product(r, r)));
-    res.iterations = k + 1;
-    if (detail::record_exit(b.proc(), res, opts, rnorm, bnorm, stop)) {
-      return res;
-    }
+    if (solve.record(k + 1, rnorm)) return solve.finish();
     rho_old = rho;
   }
-  return res;
+  return solve.finish();
 }
 
 /// Distributed Jacobi preconditioner: the inverse diagonal is distributed

@@ -62,6 +62,16 @@ struct SolveResult {
 };
 
 namespace detail {
+/// The stop threshold: rel_tolerance * ||b||, absolute when b = 0.
+inline double stop_threshold(double rel_tolerance, double bnorm) {
+  return rel_tolerance * (bnorm > 0.0 ? bnorm : 1.0);
+}
+
+/// ||r|| / ||b||, or ||r|| when b = 0 (SolveResult::relative_residual).
+inline double relative_residual(double rnorm, double bnorm) {
+  return bnorm > 0.0 ? rnorm / bnorm : rnorm;
+}
+
 /// The exit test every solver, serial and distributed, runs on each
 /// residual norm it records: converged once `rnorm` reaches `stop`,
 /// breakdown once it is no longer finite (a NaN never satisfies
@@ -84,7 +94,7 @@ inline bool residual_exit(SolveResult& res, double rnorm, double stop) {
 /// solve must stop.
 inline bool record_exit(SolveResult& res, const SolveOptions& opts,
                         double rnorm, double bnorm, double stop) {
-  res.relative_residual = bnorm > 0.0 ? rnorm / bnorm : rnorm;
+  res.relative_residual = relative_residual(rnorm, bnorm);
   if (opts.track_residuals) res.residual_history.push_back(rnorm);
   return residual_exit(res, rnorm, stop);
 }

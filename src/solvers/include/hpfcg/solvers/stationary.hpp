@@ -46,21 +46,18 @@ SolveResult jacobi_iteration_dist(const DistOp<T>& a,
                                   const hpf::DistributedVector<T>& b,
                                   hpf::DistributedVector<T>& x,
                                   const SolveOptions& opts = {}) {
-  SolveResult res;
-  const double bnorm = std::sqrt(static_cast<double>(hpf::dot_product(b, b)));
-  const double stop = opts.rel_tolerance * (bnorm > 0.0 ? bnorm : 1.0);
+  detail::Solve<T> solve(b, opts);
 
   auto r = hpf::DistributedVector<T>::aligned_like(b);
   auto q = hpf::DistributedVector<T>::aligned_like(b);
 
   for (std::size_t k = 0; k < opts.max_iterations; ++k) {
-    a(x, q);
+    const auto iter_span = solve.iteration(k);
+    solve.matvec(a, x, q);
     hpf::assign(b, r);
     hpf::axpy<T>(T{-1}, q, r);  // r = b - A x
-    const double rnorm =
-        std::sqrt(static_cast<double>(hpf::dot_product(r, r)));
-    res.iterations = k;
-    if (detail::record_exit(res, opts, rnorm, bnorm, stop)) return res;
+    const double rnorm = std::sqrt(static_cast<double>(hpf::dot_product(r, r)));
+    if (solve.record(k, rnorm)) return solve.finish();
     // x += D^{-1} r  — purely local given the aligned inverse diagonal.
     auto xs = x.local();
     auto rs = r.local();
@@ -68,7 +65,7 @@ SolveResult jacobi_iteration_dist(const DistOp<T>& a,
     for (std::size_t i = 0; i < xs.size(); ++i) xs[i] += ds[i] * rs[i];
     x.proc().add_flops(2 * xs.size());
   }
-  return res;
+  return solve.finish();
 }
 
 }  // namespace hpfcg::solvers

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "hpfcg/util/error.hpp"
+#include "hpfcg/util/span_math.hpp"
 
 namespace hpfcg::solvers {
 
@@ -58,10 +59,8 @@ SolveResult sor_iteration(const sparse::Csr<double>& a,
   SolveResult res;
   const auto diag = nonzero_diagonal(a, "sor_iteration");
   const MatVec op = wrap(a);
-  double bnorm = 0.0;
-  for (const double v : b) bnorm += v * v;
-  bnorm = std::sqrt(bnorm);
-  const double stop = opts.rel_tolerance * (bnorm > 0.0 ? bnorm : 1.0);
+  const double bnorm = std::sqrt(util::norm2_sq_local<double>(b));
+  const double stop = detail::stop_threshold(opts.rel_tolerance, bnorm);
 
   std::vector<double> scratch(n);
   for (std::size_t k = 0; k < opts.max_iterations; ++k) {

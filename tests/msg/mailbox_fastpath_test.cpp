@@ -1,8 +1,7 @@
 // The mailbox's matching guarantees — FIFO per (src, tag) and
 // arrival-order fairness for any-source receives — must survive the
 // fast-path machinery (per-source shards, inline payloads, pooled
-// buffers), including for zero-length payloads, and with every fast path
-// toggled off.
+// buffers), including for zero-length payloads.
 
 #include <gtest/gtest.h>
 
@@ -23,18 +22,6 @@ using hpfcg_test::run_spmd;
 using hpfcg_test::test_machine_sizes;
 
 namespace {
-
-/// Restore the global fast-path toggles however a test leaves them.
-struct ToggleGuard {
-  bool pooling = hpfcg::msg::buffer_pooling();
-  bool inlined = hpfcg::msg::inline_payloads();
-  std::size_t pool_cap = hpfcg::msg::max_pooled_buffers();
-  ~ToggleGuard() {
-    hpfcg::msg::set_buffer_pooling(pooling);
-    hpfcg::msg::set_inline_payloads(inlined);
-    hpfcg::msg::set_max_pooled_buffers(pool_cap);
-  }
-};
 
 /// Deposit a one-byte message whose payload identifies it.
 void post(Mailbox& mb, int src, int tag, std::uint8_t marker) {
@@ -114,8 +101,6 @@ TEST(MailboxFastPathTest, AnySourceNotStarvedByFloodFromOneRank) {
 }
 
 TEST(MailboxFastPathTest, InlineStorageBoundaryAt64Bytes) {
-  ToggleGuard guard;
-  hpfcg::msg::set_inline_payloads(true);
   Mailbox mb(1);
   Envelope at = mb.make_envelope(0, 1, Envelope::kInlineCapacity);
   EXPECT_TRUE(at.stored_inline());
@@ -123,40 +108,29 @@ TEST(MailboxFastPathTest, InlineStorageBoundaryAt64Bytes) {
   Envelope over = mb.make_envelope(0, 1, Envelope::kInlineCapacity + 1);
   EXPECT_FALSE(over.stored_inline());
   EXPECT_EQ(over.size(), Envelope::kInlineCapacity + 1);
-
-  hpfcg::msg::set_inline_payloads(false);
-  Envelope off = mb.make_envelope(0, 1, 8);
-  EXPECT_FALSE(off.stored_inline());  // fast path disabled => heap
-  EXPECT_EQ(off.size(), 8u);
 }
 
 TEST(MailboxFastPathTest, PayloadsSurviveEitherStorage) {
-  ToggleGuard guard;
-  for (const bool inline_on : {true, false}) {
-    hpfcg::msg::set_inline_payloads(inline_on);
-    Mailbox mb(1);
-    for (const std::size_t bytes : {std::size_t{8}, std::size_t{64},
-                                    std::size_t{65}, std::size_t{4096}}) {
-      Envelope env = mb.make_envelope(0, 2, bytes);
-      for (std::size_t i = 0; i < bytes; ++i) {
-        env.data()[i] = static_cast<std::byte>((i * 7 + bytes) & 0xFF);
-      }
-      mb.deposit(std::move(env));
-      Envelope got = mb.receive(0, 2);
-      ASSERT_EQ(got.size(), bytes);
-      for (std::size_t i = 0; i < bytes; ++i) {
-        ASSERT_EQ(got.data()[i], static_cast<std::byte>((i * 7 + bytes) & 0xFF))
-            << "inline_on=" << inline_on << " bytes=" << bytes << " i=" << i;
-      }
-      mb.recycle(std::move(got));
+  // 8 and 64 bytes are stored inline, 65 and 4096 in a heap buffer.
+  Mailbox mb(1);
+  for (const std::size_t bytes : {std::size_t{8}, std::size_t{64},
+                                  std::size_t{65}, std::size_t{4096}}) {
+    Envelope env = mb.make_envelope(0, 2, bytes);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      env.data()[i] = static_cast<std::byte>((i * 7 + bytes) & 0xFF);
     }
+    mb.deposit(std::move(env));
+    Envelope got = mb.receive(0, 2);
+    ASSERT_EQ(got.size(), bytes);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      ASSERT_EQ(got.data()[i], static_cast<std::byte>((i * 7 + bytes) & 0xFF))
+          << "bytes=" << bytes << " i=" << i;
+    }
+    mb.recycle(std::move(got));
   }
 }
 
 TEST(MailboxFastPathTest, RecycledHeapBuffersAreReused) {
-  ToggleGuard guard;
-  hpfcg::msg::set_buffer_pooling(true);
-  hpfcg::msg::set_inline_payloads(true);
   Mailbox mb(1);
   const std::size_t big = 1024;  // forces heap storage
 
@@ -178,70 +152,47 @@ TEST(MailboxFastPathTest, RecycledHeapBuffersAreReused) {
   EXPECT_EQ(mb.pooled_buffers(), 0u);
 }
 
-TEST(MailboxFastPathTest, PoolingDisabledNeverParksBuffers) {
-  ToggleGuard guard;
-  hpfcg::msg::set_buffer_pooling(false);
-  Mailbox mb(1);
-  Envelope env = mb.make_envelope(0, 1, 1024);
-  mb.deposit(std::move(env));
-  Envelope got = mb.receive(0, 1);
-  mb.recycle(std::move(got));
-  EXPECT_EQ(mb.pooled_buffers(), 0u);
-}
-
 TEST(MailboxFastPathTest, PoolExhaustionFallsBackToTrackedHeap) {
   // Regression: a drained pool must hand out a fresh tracked heap buffer
   // immediately — never block waiting for a recycle — and the envelope
   // must say which path it took.
-  ToggleGuard guard;
-  hpfcg::msg::set_buffer_pooling(true);
-  hpfcg::msg::set_inline_payloads(true);
-  hpfcg::msg::set_max_pooled_buffers(1);
   Mailbox mb(1);
   const std::size_t big = 1024;
+  const std::size_t cap = Mailbox::kMaxPooledBuffers;
 
-  // Pool starts empty: both concurrent-in-flight envelopes take the
+  // Pool starts empty: cap + 1 envelopes in flight at once all take the
   // tracked heap fallback.
-  Envelope a = mb.make_envelope(0, 1, big);
-  Envelope b = mb.make_envelope(0, 1, big);
-  EXPECT_EQ(a.path(), hpfcg::msg::EnvelopePath::kHeap);
-  EXPECT_EQ(b.path(), hpfcg::msg::EnvelopePath::kHeap);
+  std::vector<Envelope> held;
+  for (std::size_t i = 0; i <= cap; ++i) {
+    held.push_back(mb.make_envelope(0, 1, big));
+    EXPECT_EQ(held.back().path(), hpfcg::msg::EnvelopePath::kHeap) << i;
+  }
 
-  // Recycling both parks only one buffer — the cap holds.
-  mb.recycle(std::move(a));
-  mb.recycle(std::move(b));
-  EXPECT_EQ(mb.pooled_buffers(), 1u);
+  // Recycling all of them parks only cap buffers — the cap holds.
+  for (Envelope& e : held) mb.recycle(std::move(e));
+  held.clear();
+  EXPECT_EQ(mb.pooled_buffers(), cap);
 
-  // The next draw takes the parked buffer; the one after falls back again.
-  Envelope c = mb.make_envelope(0, 1, big);
-  EXPECT_EQ(c.path(), hpfcg::msg::EnvelopePath::kPooled);
-  Envelope d = mb.make_envelope(0, 1, big);
-  EXPECT_EQ(d.path(), hpfcg::msg::EnvelopePath::kHeap);
-
-  // Refill the pool, then cap it at 0: parking is disabled, but a buffer
-  // already parked is still drained.
-  mb.recycle(std::move(c));
-  EXPECT_EQ(mb.pooled_buffers(), 1u);
-  hpfcg::msg::set_max_pooled_buffers(0);
-  Envelope e = mb.make_envelope(0, 1, big);
-  EXPECT_EQ(e.path(), hpfcg::msg::EnvelopePath::kPooled);
-  mb.recycle(std::move(e));
-  EXPECT_EQ(mb.pooled_buffers(), 0u);  // nothing new is parked
+  // The next cap draws take the parked buffers; the one after falls back.
+  for (std::size_t i = 0; i < cap; ++i) {
+    held.push_back(mb.make_envelope(0, 1, big));
+    EXPECT_EQ(held.back().path(), hpfcg::msg::EnvelopePath::kPooled) << i;
+  }
+  EXPECT_EQ(mb.pooled_buffers(), 0u);
+  Envelope extra = mb.make_envelope(0, 1, big);
+  EXPECT_EQ(extra.path(), hpfcg::msg::EnvelopePath::kHeap);
 }
 
 class MailboxSpmdTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(MailboxSpmdTest, PoolSizeOneStressKeepsFifoAndCountsEnvelopePaths) {
-  // Stress the exhausted-pool path: pool capped at ONE buffer while many
-  // large sends are in flight alongside inline ones.  Per-source FIFO and
-  // any-source arrival order must be unaffected, nothing may deadlock, and
-  // the Stats envelope-path counters must show the heap fallback firing.
+  // Stress the pool and its fallback: many large sends in flight alongside
+  // inline ones, with the pool at its fixed cap (the name predates the
+  // cap's knob, which set it to one here).  Per-source FIFO and any-source
+  // arrival order must be unaffected, nothing may deadlock, and the Stats
+  // envelope-path counters must show the heap fallback firing.
   const int np = GetParam();
   if (np == 1) GTEST_SKIP() << "needs at least one sender";
-  ToggleGuard guard;
-  hpfcg::msg::set_buffer_pooling(true);
-  hpfcg::msg::set_inline_payloads(true);
-  hpfcg::msg::set_max_pooled_buffers(1);
   constexpr int kRounds = 64;
   constexpr int kTag = 91;
   auto rt = run_spmd(np, [](Process& p) {
@@ -282,46 +233,39 @@ TEST_P(MailboxSpmdTest, PoolSizeOneStressKeepsFifoAndCountsEnvelopePaths) {
   EXPECT_EQ(total.envelopes_inline, senders * kRounds / 2);
   EXPECT_EQ(total.envelopes_pooled + total.envelopes_heap,
             senders * kRounds / 2);
-  // With a one-buffer pool and 32 large sends per sender racing the
-  // receiver, the fallback must fire (the very first large send already
-  // finds the pool empty).
+  // The fallback must fire: each sender's first large send finds the
+  // destination's pool empty.
   EXPECT_GT(total.envelopes_heap, 0u);
 }
 
 TEST_P(MailboxSpmdTest, AnySourceReceivesEveryRankOnceUnderToggles) {
-  // End-to-end across real sender threads, with each fast-path combination:
-  // rank 0 drains np-1 any-source messages (half of them zero-length) and
-  // must see every sender exactly once with the right payload.
+  // End-to-end across real sender threads (the name predates the removal
+  // of the fast-path toggles it once looped over): rank 0 drains np-1
+  // any-source messages (half of them zero-length) and must see every
+  // sender exactly once with the right payload.
   const int np = GetParam();
   if (np == 1) GTEST_SKIP() << "needs at least one sender";
-  ToggleGuard guard;
-  for (const bool pooling : {true, false}) {
-    for (const bool inlined : {true, false}) {
-      hpfcg::msg::set_buffer_pooling(pooling);
-      hpfcg::msg::set_inline_payloads(inlined);
-      run_spmd(np, [](Process& p) {
-        constexpr int kTag = 77;
-        if (p.rank() == 0) {
-          std::set<int> seen;
-          for (int i = 1; i < p.nprocs(); ++i) {
-            int src = -1;
-            const auto payload = p.recv_any<std::int32_t>(kTag, src);
-            const bool expect_empty = (src % 2) == 0;
-            EXPECT_EQ(payload.empty(), expect_empty);
-            if (!payload.empty()) {
-              EXPECT_EQ(payload[0], src * 10);
-            }
-            EXPECT_TRUE(seen.insert(src).second) << "duplicate src " << src;
-          }
-          EXPECT_EQ(static_cast<int>(seen.size()), p.nprocs() - 1);
-        } else if (p.rank() % 2 == 0) {
-          p.send<std::int32_t>(0, kTag, {});  // zero-length
-        } else {
-          p.send_value<std::int32_t>(0, kTag, p.rank() * 10);
+  run_spmd(np, [](Process& p) {
+    constexpr int kTag = 77;
+    if (p.rank() == 0) {
+      std::set<int> seen;
+      for (int i = 1; i < p.nprocs(); ++i) {
+        int src = -1;
+        const auto payload = p.recv_any<std::int32_t>(kTag, src);
+        const bool expect_empty = (src % 2) == 0;
+        EXPECT_EQ(payload.empty(), expect_empty);
+        if (!payload.empty()) {
+          EXPECT_EQ(payload[0], src * 10);
         }
-      });
+        EXPECT_TRUE(seen.insert(src).second) << "duplicate src " << src;
+      }
+      EXPECT_EQ(static_cast<int>(seen.size()), p.nprocs() - 1);
+    } else if (p.rank() % 2 == 0) {
+      p.send<std::int32_t>(0, kTag, {});  // zero-length
+    } else {
+      p.send_value<std::int32_t>(0, kTag, p.rank() * 10);
     }
-  }
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(MachineSizes, MailboxSpmdTest,

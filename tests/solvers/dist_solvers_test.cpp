@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "hpfcg/hpf/matvec_dense.hpp"
+#include "hpfcg/msg/stats.hpp"
 #include "hpfcg/repro/repro.hpp"
 #include "hpfcg/solvers/dist_gmres.hpp"
 #include "hpfcg/solvers/dist_solvers.hpp"
@@ -28,6 +29,7 @@
 #include "hpfcg/sparse/dist_csc.hpp"
 #include "hpfcg/sparse/dist_csr.hpp"
 #include "hpfcg/sparse/generators.hpp"
+#include "hpfcg/trace/trace.hpp"
 #include "spmd_test_util.hpp"
 
 namespace sv = hpfcg::solvers;
@@ -493,10 +495,15 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- one solver text -------------------------------------------------------
 
-/// Residual signature and solution of one tracked solve.
+/// Residual signature, history and solution of one tracked solve, with
+/// rank 0's trace metrics-channel samples and the machine's total Stats
+/// (both left empty for a serial name).
 struct Pinned {
   std::uint64_t signature = 0;
   std::vector<std::uint64_t> x_bits;
+  std::vector<double> history;
+  std::vector<hpfcg::trace::IterationMetrics> samples;
+  hpfcg::msg::Stats total;
 };
 
 /// Solves A x = b from x = 0 with the named solver, tracking the residual
@@ -513,7 +520,7 @@ Pinned pinned_solve(const std::string& solver, int np,
   const auto diag = a.diagonal();
   const auto pin = [](const sv::SolveResult& res,
                       const std::vector<double>& x) {
-    Pinned p{res.residual_signature(), {}};
+    Pinned p{res.residual_signature(), {}, res.residual_history, {}, {}};
     for (const double v : x) {
       p.x_bits.push_back(std::bit_cast<std::uint64_t>(v));
     }
@@ -528,7 +535,7 @@ Pinned pinned_solve(const std::string& solver, int np,
     return pin(res, x);
   }
   Pinned out;
-  run_spmd(np, [&](Process& proc) {
+  const auto rt = run_spmd(np, [&](Process& proc) {
     auto dist = share(Distribution::block(a.n_rows(), proc.nprocs()));
     auto mat = sp::DistCsr<double>::row_aligned(proc, a, dist);
     DistributedVector<double> b(proc, dist), x(proc, dist),
@@ -543,6 +550,8 @@ Pinned pinned_solve(const std::string& solver, int np,
     const auto full = x.to_global();
     if (proc.rank() == 0) out = pin(res, full);
   });
+  if (rt->tracer() != nullptr) out.samples = rt->tracer()->rank(0).iterations();
+  out.total = rt->total_stats();
   return out;
 }
 
@@ -573,6 +582,39 @@ TEST_P(OneSolverTextTest, ReproSerialNameMatchesEveryMachineSize) {
     const auto dist = pinned_solve(GetParam(), np, a_, b_);
     EXPECT_EQ(serial.signature, dist.signature) << "np=" << np;
     EXPECT_EQ(serial.x_bits, dist.x_bits) << "np=" << np;
+  }
+}
+
+TEST_P(OneSolverTextTest, TraceMetricsChannelSeesEveryRecordedResidual) {
+  // Every text records each residual through one exit, which publishes it
+  // on the trace metrics channel: rank 0's samples are the residual
+  // history, bit for bit and one per recorded step.  Tracing perturbs
+  // nothing: x, the signature and every Stats counter match the untraced
+  // solve.
+  if (!hpfcg::trace::kCompiled) GTEST_SKIP() << "tracing compiled out";
+  for (const int np : test_machine_sizes()) {
+    Pinned traced, plain;
+    {
+      hpfcg::trace::ScopedEnable on(true);
+      traced = pinned_solve(GetParam(), np, a_, b_);
+    }
+    {
+      hpfcg::trace::ScopedEnable off(false);
+      plain = pinned_solve(GetParam(), np, a_, b_);
+    }
+    const auto& history = traced.history;
+    ASSERT_FALSE(history.empty()) << "np=" << np;
+    ASSERT_EQ(traced.samples.size(), history.size()) << "np=" << np;
+    for (std::size_t i = 0; i < history.size(); ++i) {
+      EXPECT_EQ(traced.samples[i].iteration, i) << "np=" << np;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(traced.samples[i].residual),
+                std::bit_cast<std::uint64_t>(history[i]))
+          << "np=" << np << " i=" << i;
+    }
+    EXPECT_EQ(traced.signature, plain.signature) << "np=" << np;
+    EXPECT_EQ(traced.x_bits, plain.x_bits) << "np=" << np;
+    EXPECT_TRUE(hpfcg::msg::counters_identical(traced.total, plain.total))
+        << "np=" << np;
   }
 }
 
